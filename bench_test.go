@@ -402,7 +402,7 @@ func BenchmarkAdaptiveBatchingDecide(b *testing.B) {
 	policy := batching.NewAccScale()
 	queue := make([]batching.Query, 48)
 	for i := range queue {
-		queue[i] = batching.Query{ID: uint64(i), Deadline: time.Duration(200+i) * time.Millisecond}
+		queue[i] = batching.Query{Deadline: time.Duration(200+i) * time.Millisecond}
 	}
 	ctx := &batching.Context{
 		Now:      0,

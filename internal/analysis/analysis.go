@@ -248,6 +248,7 @@ func (r *Registry) Rules() []Rule {
 // plan construction and the solvers. The determinism checker runs only here.
 var DeterministicPackages = []string{
 	"internal/core",
+	"internal/device",
 	"internal/allocator",
 	"internal/attrib",
 	"internal/lp",

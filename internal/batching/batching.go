@@ -21,8 +21,6 @@ import (
 
 // Query is the policy-visible state of one queued query.
 type Query struct {
-	ID       uint64
-	Arrival  time.Duration // when it entered the worker queue
 	Deadline time.Duration // absolute SLO expiry time
 }
 

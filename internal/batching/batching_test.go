@@ -15,8 +15,8 @@ func ctx(now time.Duration, queue []Query, maxBatch int, proc func(int) time.Dur
 	return &Context{Now: now, Queue: queue, MaxBatch: maxBatch, MemBatch: 1024, ProcTime: proc}
 }
 
-func q(id uint64, deadline time.Duration) Query {
-	return Query{ID: id, Deadline: deadline}
+func q(deadline time.Duration) Query {
+	return Query{Deadline: deadline}
 }
 
 func TestAccScaleIdleOnEmptyQueue(t *testing.T) {
@@ -32,7 +32,7 @@ func TestAccScaleWaitsWhenSafe(t *testing.T) {
 	// At now=0 it must wait until exactly 180ms.
 	p := NewAccScale()
 	proc := linearProc(10*time.Millisecond, 5*time.Millisecond)
-	d := p.Decide(ctx(0, []Query{q(1, 200*time.Millisecond)}, 8, proc))
+	d := p.Decide(ctx(0, []Query{q(200 * time.Millisecond)}, 8, proc))
 	if d.Action != Wait {
 		t.Fatalf("action %v, want wait", d.Action)
 	}
@@ -47,7 +47,7 @@ func TestAccScaleExecutesAtDeadline(t *testing.T) {
 	p := NewAccScale()
 	proc := linearProc(10*time.Millisecond, 5*time.Millisecond)
 	wake := 200*time.Millisecond - proc(2)
-	d := p.Decide(ctx(wake, []Query{q(1, 200*time.Millisecond)}, 8, proc))
+	d := p.Decide(ctx(wake, []Query{q(200 * time.Millisecond)}, 8, proc))
 	if d.Action != Execute || d.BatchSize != 1 {
 		t.Fatalf("decision %+v, want execute batch 1", d)
 	}
@@ -59,11 +59,11 @@ func TestAccScaleCase2Recursion(t *testing.T) {
 	// with batch 2, which by construction still meets the head deadline.
 	p := NewAccScale()
 	proc := linearProc(10*time.Millisecond, 50*time.Millisecond)
-	head := q(1, 200*time.Millisecond)
+	head := q(200 * time.Millisecond)
 	// T_max_wait(3) = 200 - (10 + 150) = 40ms. At now=50ms with 2 queries:
 	// past T_max_wait(3) → execute batch 2. Verify head still meets SLO:
 	// 50 + proc(2) = 160 <= 200.
-	d := p.Decide(ctx(50*time.Millisecond, []Query{head, q(2, 400*time.Millisecond)}, 8, proc))
+	d := p.Decide(ctx(50*time.Millisecond, []Query{head, q(400 * time.Millisecond)}, 8, proc))
 	if d.Action != Execute || d.BatchSize != 2 {
 		t.Fatalf("decision %+v, want execute batch 2", d)
 	}
@@ -71,7 +71,7 @@ func TestAccScaleCase2Recursion(t *testing.T) {
 		t.Fatal("test setup broken: head would miss SLO")
 	}
 	// At now=30ms (before T_max_wait(3)) it must wait until 40ms.
-	d = p.Decide(ctx(30*time.Millisecond, []Query{head, q(2, 400*time.Millisecond)}, 8, proc))
+	d = p.Decide(ctx(30*time.Millisecond, []Query{head, q(400 * time.Millisecond)}, 8, proc))
 	if d.Action != Wait || d.WakeAt != 40*time.Millisecond {
 		t.Fatalf("decision %+v, want wait until 40ms", d)
 	}
@@ -86,7 +86,7 @@ func TestAccScaleHeadNeverTimesOutFromWaiting(t *testing.T) {
 	for n := 1; n <= 20; n++ {
 		queue := make([]Query, n)
 		for i := range queue {
-			queue[i] = q(uint64(i), 100*time.Millisecond+time.Duration(i)*10*time.Millisecond)
+			queue[i] = q(100*time.Millisecond + time.Duration(i)*10*time.Millisecond)
 		}
 		c := ctx(0, queue, 32, proc)
 		d := p.Decide(c)
@@ -110,7 +110,7 @@ func TestAccScaleFullBatchExecutesImmediately(t *testing.T) {
 	proc := linearProc(time.Millisecond, time.Millisecond)
 	queue := make([]Query, 10)
 	for i := range queue {
-		queue[i] = q(uint64(i), time.Second)
+		queue[i] = q(time.Second)
 	}
 	d := p.Decide(ctx(0, queue, 4, proc))
 	if d.Action != Execute || d.BatchSize != 4 {
@@ -123,7 +123,7 @@ func TestAccScaleNonWorkConserving(t *testing.T) {
 	// queue, the device is deliberately left idle.
 	p := NewAccScale()
 	proc := linearProc(time.Millisecond, time.Millisecond)
-	d := p.Decide(ctx(0, []Query{q(1, time.Second)}, 8, proc))
+	d := p.Decide(ctx(0, []Query{q(time.Second)}, 8, proc))
 	if d.Action != Wait {
 		t.Fatalf("decision %+v: AccScale must idle while waiting is safe", d)
 	}
@@ -134,7 +134,7 @@ func TestNexusWorkConserving(t *testing.T) {
 	// immediately.
 	p := NewNexus()
 	proc := linearProc(time.Millisecond, time.Millisecond)
-	d := p.Decide(ctx(0, []Query{q(1, time.Second)}, 8, proc))
+	d := p.Decide(ctx(0, []Query{q(time.Second)}, 8, proc))
 	if d.Action != Execute || d.BatchSize != 1 {
 		t.Fatalf("decision %+v, want immediate execute", d)
 	}
@@ -147,7 +147,7 @@ func TestNexusPlannedBatchTracksRate(t *testing.T) {
 	proc := linearProc(10*time.Millisecond, time.Millisecond)
 	queue := make([]Query, 20)
 	for i := range queue {
-		queue[i] = q(uint64(i), time.Second)
+		queue[i] = q(time.Second)
 	}
 	p := NewNexus()
 	c := ctx(0, queue, 16, proc)
@@ -170,7 +170,7 @@ func TestNexusPlannedBatchCappedByMax(t *testing.T) {
 	proc := linearProc(10*time.Millisecond, time.Millisecond)
 	queue := make([]Query, 20)
 	for i := range queue {
-		queue[i] = q(uint64(i), time.Second)
+		queue[i] = q(time.Second)
 	}
 	p := NewNexus()
 	c := ctx(0, queue, 4, proc)
@@ -184,7 +184,7 @@ func TestNexusDropsHopelessQueries(t *testing.T) {
 	p := NewNexus()
 	proc := linearProc(10*time.Millisecond, 0)
 	// Query 0 already expired, query 1 feasible.
-	queue := []Query{q(0, 5*time.Millisecond), q(1, 100*time.Millisecond)}
+	queue := []Query{q(5 * time.Millisecond), q(100 * time.Millisecond)}
 	d := p.Decide(ctx(20*time.Millisecond, queue, 8, proc))
 	if d.Action != Execute || d.BatchSize != 1 {
 		t.Fatalf("decision %+v", d)
@@ -200,7 +200,7 @@ func TestNexusDropShrinksBatchAndRescues(t *testing.T) {
 	// both are dropped and the worker idles.
 	p := NewNexus()
 	proc := linearProc(10*time.Millisecond, 10*time.Millisecond)
-	queue := []Query{q(0, 25*time.Millisecond), q(1, 29*time.Millisecond)}
+	queue := []Query{q(25 * time.Millisecond), q(29 * time.Millisecond)}
 	c := ctx(0, queue, 8, proc)
 	c.ArrivalRate = 66 // plans batch 2 (2/0.030s = 66.7)
 	d := p.Decide(c)
@@ -210,7 +210,7 @@ func TestNexusDropShrinksBatchAndRescues(t *testing.T) {
 	// A case where shrinking rescues: q0 deadline 25ms, q1 deadline 35ms.
 	// The 2-batch finishes at 30ms, so q0 is dropped; the shrunken 1-batch
 	// finishes at 20ms and q1 survives.
-	c = ctx(0, []Query{q(0, 25*time.Millisecond), q(1, 35*time.Millisecond)}, 8, proc)
+	c = ctx(0, []Query{q(25 * time.Millisecond), q(35 * time.Millisecond)}, 8, proc)
 	c.ArrivalRate = 66
 	d = p.Decide(c)
 	if d.Action != Execute || d.BatchSize != 1 || len(d.Drop) != 1 || d.Drop[0] != 0 {
@@ -221,7 +221,7 @@ func TestNexusDropShrinksBatchAndRescues(t *testing.T) {
 func TestAIMDStartsAtOne(t *testing.T) {
 	p := NewAIMD()
 	proc := linearProc(time.Millisecond, time.Millisecond)
-	queue := []Query{q(0, time.Second), q(1, time.Second)}
+	queue := []Query{q(time.Second), q(time.Second)}
 	d := p.Decide(ctx(0, queue, 8, proc))
 	if d.Action != Execute || d.BatchSize != 1 {
 		t.Fatalf("decision %+v, want execute 1", d)
@@ -287,7 +287,7 @@ func TestAIMDIgnoresSLOCapButHonorsMemory(t *testing.T) {
 	}
 	queue := make([]Query, 30)
 	for i := range queue {
-		queue[i] = q(uint64(i), time.Second)
+		queue[i] = q(time.Second)
 	}
 	c := ctx(0, queue, 4, linearProc(time.Millisecond, time.Millisecond))
 	c.MemBatch = 6
@@ -300,7 +300,7 @@ func TestAIMDIgnoresSLOCapButHonorsMemory(t *testing.T) {
 func TestStatic(t *testing.T) {
 	p := NewStatic(1)
 	proc := linearProc(time.Millisecond, time.Millisecond)
-	queue := []Query{q(0, time.Second), q(1, time.Second)}
+	queue := []Query{q(time.Second), q(time.Second)}
 	d := p.Decide(ctx(0, queue, 8, proc))
 	if d.Action != Execute || d.BatchSize != 1 {
 		t.Fatalf("decision %+v", d)

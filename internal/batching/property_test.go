@@ -21,7 +21,7 @@ func randomCtx(seed uint64) *Context {
 	deadline := now - 20*time.Millisecond // some may already be hopeless
 	for i := range queue {
 		deadline += time.Duration(rng.Intn(40)) * time.Millisecond
-		queue[i] = Query{ID: uint64(i), Deadline: deadline}
+		queue[i] = Query{Deadline: deadline}
 	}
 	return &Context{
 		Now:      now,

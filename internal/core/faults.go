@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"proteus/internal/allocator"
+	"proteus/internal/device"
 	"proteus/internal/telemetry"
 )
 
@@ -21,10 +22,10 @@ func (s *System) failDevice(d int) {
 	s.collector.DeviceFailed(now)
 	s.tc.DevicesUp.Set(s.healthyCount())
 	stranded := s.workers[d].fail()
-	s.flight.Trigger(now, "device_failure", s.workers[d].dev.Name, -1, d)
+	s.flight.Trigger(now, "device_failure", s.cfg.Cluster.Device(d).Name, -1, d)
 	s.rebuildTable()
-	for _, q := range stranded {
-		s.requeue(now, q, telemetry.CauseDeviceFailure)
+	for _, a := range stranded {
+		s.requeue(now, a.Query, a.Cause)
 	}
 	s.faultRealloc("failure")
 }
@@ -48,40 +49,30 @@ func (s *System) recoverDevice(d int) {
 		ref = s.plan.Hosted[d]
 	}
 	w.recover(ref, now)
-	if w.loadingUntil > now {
-		s.engine.Schedule(w.loadingUntil, func() {
-			s.rebuildTable()
-			w.evaluate()
-		})
-	}
+	s.scheduleLoaded(w, now)
 	s.rebuildTable()
 	s.faultRealloc("recovery")
 }
 
-// requeue returns a stranded query to the router: dropped if it already
-// burned its re-route budget (Config.MaxRetries) or cannot meet its
-// deadline, re-dispatched to a surviving replica otherwise. cause records
-// why the query was stranded (device failure, stale route) on the requeue
-// and retry trace events, so attribution can name the re-route penalty.
+// requeue returns a stranded query to the router: re-dispatched to a
+// surviving replica, or dropped when device.Retry refuses it. cause records
+// why the query was stranded (device failure, stale route, mid-flight loss)
+// on the requeue and retry trace events, so attribution can name the
+// re-route penalty.
 func (s *System) requeue(now time.Duration, q query, cause telemetry.Cause) {
-	s.collector.Requeued(now, q.family)
+	s.collector.Requeued(now, q.Family)
 	s.tc.Requeued.Inc()
 	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRequeued, q.id, q.family, -1, -1, s.traceCtx(q.family, cause))
+		s.tracer.RecordCtx(now, telemetry.EvRequeued, q.ID, q.Family, -1, -1, s.traceCtx(q.Family, cause))
 	}
-	if q.retries >= s.cfg.MaxRetries {
-		s.dropQuery(now, q, telemetry.CauseRetryBudget)
+	if drop := device.Retry(&q, now, s.cfg.MaxRetries); drop != telemetry.CauseNone {
+		s.dropQuery(now, q, drop)
 		return
 	}
-	if q.deadline <= now {
-		s.dropQuery(now, q, telemetry.CauseExpired)
-		return
-	}
-	q.retries++
-	s.collector.Retried(now, q.family)
+	s.collector.Retried(now, q.Family)
 	s.tc.Retried.Inc()
 	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRetried, q.id, q.family, -1, -1, s.traceCtx(q.family, cause))
+		s.tracer.RecordCtx(now, telemetry.EvRetried, q.ID, q.Family, -1, -1, s.traceCtx(q.Family, cause))
 	}
 	s.route(now, q)
 }

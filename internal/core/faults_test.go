@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"proteus/internal/attrib"
 	"proteus/internal/cluster"
+	"proteus/internal/telemetry"
 )
 
 // TestFaultToleranceKillQuarter is the graceful-degradation scenario: a
@@ -177,5 +179,35 @@ func TestFaultScheduleValidatedByConfig(t *testing.T) {
 	}}
 	if _, err := NewSystem(cfg); err == nil {
 		t.Fatal("out-of-range fault device must fail config validation")
+	}
+}
+
+// TestFailureMidBatchAttributedMidflight kills loaded devices while their
+// batches execute: the in-flight queries requeue as mid-flight losses, and
+// latency attribution charges their wasted execution to reroute_midflight.
+func TestFailureMidBatchAttributedMidflight(t *testing.T) {
+	cfg := smallConfig(t)
+	cfg.Tracer = telemetry.NewTracer(1 << 17)
+	cfg.Faults = cluster.KillFraction(cfg.Cluster, 0.25, 20*time.Second, 0)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(flatTrace(t, cfg.Families, 300, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.Tracer.Dropped(); n > 0 {
+		t.Fatalf("trace ring dropped %d events", n)
+	}
+	rep := attrib.Analyze(attrib.Input{Events: cfg.Tracer.Events(), Plans: res.Plans})
+	midflight := 0
+	for _, e := range rep.Queries {
+		if e.Components[attrib.CompRerouteMidflight] > 0 {
+			midflight++
+		}
+	}
+	if midflight == 0 {
+		t.Fatal("no query charged to reroute_midflight: in-flight batches were not stranded as mid-flight losses")
 	}
 }

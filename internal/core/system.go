@@ -5,14 +5,11 @@ import (
 	"time"
 
 	"proteus/internal/allocator"
-	"proteus/internal/cluster"
 	"proteus/internal/controlplane"
 	"proteus/internal/flightrec"
 	"proteus/internal/metrics"
-	"proteus/internal/models"
 	"proteus/internal/numeric"
 	"proteus/internal/overload"
-	"proteus/internal/profiles"
 	"proteus/internal/router"
 	"proteus/internal/simulation"
 	"proteus/internal/telemetry"
@@ -28,13 +25,12 @@ type System struct {
 	workers []*worker
 	slos    []time.Duration
 
-	table        *router.Table
-	guard        *overload.Guard
-	plan         *allocator.Allocation
-	stats        *controlplane.Stats
-	controller   *controlplane.Controller
-	collector    *metrics.Collector
-	profileStore *profiles.Store
+	table      *router.Table
+	guard      *overload.Guard
+	plan       *allocator.Allocation
+	stats      *controlplane.Stats
+	controller *controlplane.Controller
+	collector  *metrics.Collector
 
 	nextID      uint64
 	nextBatchID int
@@ -90,20 +86,6 @@ func NewSystem(cfg Config) (*System, error) {
 	// traces are visible to attribution (both arguments are nil-safe).
 	cfg.Tracer.SetDropCounter(cfg.Telemetry.Counter("trace_dropped_total"))
 	s.collector = metrics.NewCollector(cfg.MetricsInterval, cfg.FamilyNames())
-	// The controller's model profiler (§3): every (variant, device type,
-	// batch) latency is measured up front and stored in the O(1) key-value
-	// store the workers consult on their hot path.
-	s.profileStore = profiles.NewStore()
-	reg := models.MustRegistry(cfg.Families)
-	types := make(map[cluster.DeviceType]bool)
-	var typeList []cluster.DeviceType
-	for _, d := range cfg.Cluster.Devices() {
-		if !types[d.Spec.Type] {
-			types[d.Spec.Type] = true
-			typeList = append(typeList, d.Spec.Type)
-		}
-	}
-	s.profileStore.ProfileAll(reg, typeList, maxProfiledBatch)
 	s.stats = controlplane.NewStats(len(cfg.Families), int(cfg.DemandWindow/time.Second), cfg.BurstFactor)
 	s.controller = controlplane.NewController(
 		cfg.Allocator, cfg.Cluster, cfg.Families, s.slos, cfg.ControlPeriod, cfg.BurstCooldown)
@@ -138,7 +120,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.tc.DevicesUp.Set(int64(cfg.Cluster.Size()))
 	for _, dev := range cfg.Cluster.Devices() {
-		s.workers = append(s.workers, &worker{sys: s, dev: dev, policy: cfg.Batching()})
+		s.workers = append(s.workers, newWorker(s, dev))
 	}
 	s.down = make([]bool, cfg.Cluster.Size())
 	s.plan = allocator.NewAllocation(&allocator.Input{
@@ -285,7 +267,7 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 		res.PerFamily = append(res.PerFamily, s.collector.Summarize(q))
 	}
 	for _, w := range s.workers {
-		res.ModelLoads += w.loads
+		res.ModelLoads += w.dev.Loads()
 	}
 	res.ExtraDevices = s.extraProvisioned
 	return res, nil
@@ -299,16 +281,8 @@ func (s *System) sampleTSDB() {
 	now := s.engine.Now()
 	states := make([]tsdb.DeviceState, len(s.workers))
 	for d, w := range s.workers {
-		sat, pressured := s.guard.DeviceSignal(d)
-		states[d] = tsdb.DeviceState{
-			Up:         !w.down,
-			QueueDepth: len(w.queue) + len(w.inflight),
-			LastBatch:  w.lastBatch,
-			Variant:    w.hostedID(),
-			BusyTime:   w.busyTime(now),
-			SatMilli:   sat,
-			Pressured:  pressured,
-		}
+		states[d] = w.dev.Sample(now)
+		states[d].SatMilli, states[d].Pressured = s.guard.DeviceSignal(d)
 	}
 	s.recorder.Sample(now, states)
 	// Refresh the flight recorder's rings with this tick's state, then fire
@@ -363,14 +337,14 @@ func (s *System) onArrival(a trace.Arrival) {
 	s.collector.Arrival(now, a.Family)
 	s.recorder.Arrival(now, a.Family)
 	q := query{
-		id:       s.nextID,
-		family:   a.Family,
-		arrival:  now,
-		deadline: now + s.slos[a.Family],
+		ID:       s.nextID,
+		Family:   a.Family,
+		Arrival:  now,
+		Deadline: now + s.slos[a.Family],
 	}
 	s.nextID++
 	s.tc.Arrivals.Inc()
-	s.tracer.Record(now, telemetry.EvArrival, q.id, q.family, -1, -1)
+	s.tracer.Record(now, telemetry.EvArrival, q.ID, q.Family, -1, -1)
 	s.route(now, q)
 
 	// Burst detection on the data path's monitoring daemon (§3).
@@ -382,23 +356,23 @@ func (s *System) onArrival(a trace.Arrival) {
 func (s *System) route(now time.Duration, q query) {
 	var d int
 	if s.guard != nil {
-		d = s.table.PickExcluding(q.family, s.rng, func(dev int) bool {
-			return s.guard.Banned(q.family, dev)
+		d = s.table.PickExcluding(q.Family, s.rng, func(dev int) bool {
+			return s.guard.Banned(q.Family, dev)
 		})
-		if d >= 0 && !s.guard.Admit(now, d, q.deadline) {
+		if d >= 0 && !s.guard.Admit(now, d, q.Deadline) {
 			// Shed-on-arrival: the query provably cannot meet its deadline
 			// behind d's backlog, so executing it would only waste capacity.
 			s.dropQuery(now, q, telemetry.CauseShedAdmission)
 			return
 		}
 	} else {
-		d = s.table.Pick(q.family, s.rng)
+		d = s.table.Pick(q.Family, s.rng)
 	}
 	if d < 0 {
 		s.dropQuery(now, q, telemetry.CauseNoRoute)
 		return
 	}
-	s.tracer.Record(now, telemetry.EvRoute, q.id, q.family, d, -1)
+	s.tracer.Record(now, telemetry.EvRoute, q.ID, q.Family, d, -1)
 	s.workers[d].enqueue(q)
 }
 
@@ -503,7 +477,7 @@ func (s *System) provisionDevice() {
 	grown := s.controller.Cluster().WithExtra(e.Type)
 	s.controller.SetCluster(grown)
 	dev := grown.Device(grown.Size() - 1)
-	s.workers = append(s.workers, &worker{sys: s, dev: dev, policy: s.cfg.Batching()})
+	s.workers = append(s.workers, newWorker(s, dev))
 	s.down = append(s.down, false)
 	s.reallocate("provision")
 }
@@ -534,22 +508,16 @@ func (s *System) applyPlan(plan *allocator.Allocation, initial bool) {
 			hostedRef = plan.Hosted[d]
 			newID = plan.HostedID(d)
 		}
-		if newID == w.hostedID() {
+		if newID == w.dev.HostedID() {
 			continue
 		}
-		rerouted = append(rerouted, w.takeQueue()...)
-		w.setHosted(hostedRef, now)
+		delay := s.cfg.ModelLoadDelay
 		if initial {
 			// Initial plan: models are loaded before the experiment starts.
-			w.loadingUntil = 0
+			delay = 0
 		}
-		if w.loadingUntil > now {
-			// Re-admit the device into the routing table once ready.
-			s.engine.Schedule(w.loadingUntil, func() {
-				s.rebuildTable()
-				w.evaluate()
-			})
-		}
+		rerouted = append(rerouted, w.setHosted(hostedRef, now, delay)...)
+		s.scheduleLoaded(w, now)
 	}
 	s.rebuildTable()
 	for _, q := range rerouted {
@@ -558,6 +526,18 @@ func (s *System) applyPlan(plan *allocator.Allocation, initial bool) {
 	for _, w := range s.workers {
 		w.evaluate()
 	}
+}
+
+// scheduleLoaded re-admits w into the routing table once its model load,
+// if one is under way, completes.
+func (s *System) scheduleLoaded(w *worker, now time.Duration) {
+	if !w.dev.Loading(now) {
+		return
+	}
+	s.engine.Schedule(w.dev.LoadedAt(), func() {
+		s.rebuildTable()
+		w.evaluate()
+	})
 }
 
 // rebuildTable rebuilds the routing table from the current plan, excluding
@@ -577,7 +557,7 @@ func (s *System) rebuildTable() {
 				continue
 			}
 			admit[q] += y
-			if w := s.workers[d]; w.down || w.loadingUntil > now {
+			if w := s.workers[d]; w.dev.Down() || w.dev.Loading(now) {
 				continue
 			}
 			masked.Routing[q][d] = y
@@ -607,47 +587,35 @@ func (s *System) syncGuardPlan(now time.Duration) {
 	}
 	profs := make([]overload.DeviceProfile, len(s.workers))
 	for d, w := range s.workers {
-		profs[d] = overload.DeviceProfile{Family: -1}
-		if w.down || w.hosted == nil || w.maxBatch < 1 {
-			continue
-		}
-		f := w.hosted.Family
-		profs[d] = overload.DeviceProfile{
-			Family:   f,
-			Accuracy: w.hosted.Variant.Accuracy,
-			MaxBatch: w.maxBatch,
-			Lat1:     w.procTime(1),
-			LatMax:   w.procTime(w.maxBatch),
-			SLO:      s.slos[f],
-		}
+		profs[d] = w.dev.GuardProfile()
 	}
 	s.guard.SetPlan(now, profs)
 }
 
 func (s *System) dropQuery(now time.Duration, q query, cause telemetry.Cause) {
-	s.collector.Dropped(now, q.family)
-	s.recorder.Violation(now, q.family)
+	s.collector.Dropped(now, q.Family)
+	s.recorder.Violation(now, q.Family)
 	s.tc.Dropped.Inc()
 	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvDropped, q.id, q.family, -1, -1, s.traceCtx(q.family, cause))
+		s.tracer.RecordCtx(now, telemetry.EvDropped, q.ID, q.Family, -1, -1, s.traceCtx(q.Family, cause))
 	}
 }
 
 func (s *System) serveQuery(now time.Duration, q query, accuracy float64, device, batch int) {
-	s.collector.Served(now, q.family, accuracy, now-q.arrival)
+	s.collector.Served(now, q.Family, accuracy, now-q.Arrival)
 	s.tc.Served.Inc()
 	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvDone, q.id, q.family, device, batch, s.traceCtx(q.family, telemetry.CauseNone))
+		s.tracer.RecordCtx(now, telemetry.EvDone, q.ID, q.Family, device, batch, s.traceCtx(q.Family, telemetry.CauseNone))
 	}
 	s.recordPhases(now, q, device)
 }
 
 func (s *System) lateQuery(now time.Duration, q query, device, batch int) {
-	s.collector.Late(now, q.family, now-q.arrival)
-	s.recorder.Violation(now, q.family)
+	s.collector.Late(now, q.Family, now-q.Arrival)
+	s.recorder.Violation(now, q.Family)
 	s.tc.Late.Inc()
 	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvLate, q.id, q.family, device, batch, s.traceCtx(q.family, telemetry.CauseNone))
+		s.tracer.RecordCtx(now, telemetry.EvLate, q.ID, q.Family, device, batch, s.traceCtx(q.Family, telemetry.CauseNone))
 	}
 	s.recordPhases(now, q, device)
 }
@@ -656,10 +624,10 @@ func (s *System) lateQuery(now time.Duration, q query, device, batch int) {
 // durations for the tsdb decomposition histograms. Response stays zero on
 // the virtual clock: completion and response delivery coincide.
 func (s *System) recordPhases(done time.Duration, q query, device int) {
-	s.recorder.RecordPhases(q.family, device, tsdb.PhaseDurations{
-		Admission: q.enqueueAt - q.arrival,
-		Queue:     q.formAt - q.enqueueAt,
-		BatchForm: q.execAt - q.formAt,
-		Exec:      done - q.execAt,
+	s.recorder.RecordPhases(q.Family, device, tsdb.PhaseDurations{
+		Admission: q.EnqueueAt - q.Arrival,
+		Queue:     q.FormAt - q.EnqueueAt,
+		BatchForm: q.ExecAt - q.FormAt,
+		Exec:      done - q.ExecAt,
 	})
 }

@@ -4,168 +4,51 @@ import (
 	"time"
 
 	"proteus/internal/allocator"
-	"proteus/internal/batching"
 	"proteus/internal/cluster"
-	"proteus/internal/profiles"
+	"proteus/internal/device"
 	"proteus/internal/simulation"
 	"proteus/internal/telemetry"
 )
 
 // query is one inference request flowing through the system.
-type query struct {
-	id       uint64
-	family   int
-	arrival  time.Duration
-	deadline time.Duration
-	// retries counts failure re-dispatches; a query is retried at most
-	// Config.MaxRetries times before being dropped.
-	retries int
-	// Phase-decomposition timestamps: stamped at device enqueue and batch
-	// formation, differenced into per-phase durations at completion. A
-	// requeue restamps enqueueAt, so admission absorbs the re-route wait.
-	enqueueAt time.Duration
-	formAt    time.Duration
-	execAt    time.Duration
-}
+type query = device.Query
 
-// worker is one device: a queue, a batching policy and a (simulated)
-// hardware executor. All methods run inside engine callbacks.
+// worker drives one device model on the discrete-event engine: it performs
+// the model's actions as simulation events. All methods run inside engine
+// callbacks.
 type worker struct {
-	sys    *System
-	dev    cluster.Device
-	policy batching.Policy
+	sys *System
+	dev *device.Device
 
-	hosted       *allocator.VariantRef
-	maxBatch     int // SLO- and memory-capped batch for the hosted variant
-	memBatch     int // memory-only cap
-	queue        []query
-	busy         bool
-	down         bool
-	loadingUntil time.Duration
-	wake         *simulation.Event
+	wake    *simulation.Event // pending Wait/Load re-evaluation
+	done    *simulation.Event // in-flight batch completion
+	batchID int               // trace identity of the in-flight batch
+	acts    []device.Action   // Evaluate's action buffer, reused
 
-	// In-flight batch and its completion event, tracked so a failure can
-	// cancel the execution and strand the batch back to the router.
-	inflight   []query
-	inflightEv *simulation.Event
-
-	// batchesRun counts executed batches (for reports).
-	batchesRun int
-	loads      int
-
-	// Execution-time accounting for the tsdb utilization series: busyAccum
-	// is the total completed execution time, busyStart the start of the
-	// in-flight batch, lastBatch the size of the most recent batch.
-	busyAccum time.Duration
-	busyStart time.Duration
-	lastBatch int
-
-	// Arrival-rate estimation for rate-planned batching policies (Nexus):
-	// per-second counts folded into an EWMA.
-	rateEWMA   float64
-	rateBucket int64 // second index of the open bucket
-	rateCount  int
+	// Cached method values, so scheduling allocates no closure.
+	onWake, onDone func()
 }
 
-// noteArrival folds one arrival into the rate estimate.
-func (w *worker) noteArrival(now time.Duration) {
-	sec := int64(now / time.Second)
-	if sec != w.rateBucket {
-		// Fold closed buckets, decaying through empty seconds.
-		const alpha = 0.3
-		w.rateEWMA = alpha*float64(w.rateCount) + (1-alpha)*w.rateEWMA
-		for s := w.rateBucket + 1; s < sec && s-w.rateBucket < 30; s++ {
-			w.rateEWMA *= 1 - alpha
-		}
-		w.rateBucket = sec
-		w.rateCount = 0
+func newWorker(s *System, dev cluster.Device) *worker {
+	w := &worker{sys: s, dev: device.New(device.Config{
+		Device: dev,
+		Policy: s.cfg.Batching(),
+		SLOs:   s.slos,
+	})}
+	w.onWake = func() {
+		w.wake = nil
+		w.evaluate()
 	}
-	w.rateCount++
-}
-
-// arrivalRate returns the smoothed arrival rate in QPS, biased toward the
-// open bucket when it already exceeds the average (fast ramp-up).
-func (w *worker) arrivalRate() float64 {
-	if float64(w.rateCount) > w.rateEWMA {
-		return float64(w.rateCount)
-	}
-	return w.rateEWMA
+	w.onDone = w.complete
+	return w
 }
 
 // syncDepth reports the current mailbox depth to the overload guard (a
-// no-op when the guard is off). Called after every queue mutation so the
-// backpressure hysteresis and admission bound always see the true depth.
+// no-op when the guard is off). Called after every model call that can
+// change the queue, so the backpressure hysteresis and admission bound
+// always see the true depth.
 func (w *worker) syncDepth() {
-	w.sys.guard.NoteDepth(w.dev.ID, len(w.queue))
-}
-
-func (w *worker) hostedID() string {
-	if w.hosted == nil {
-		return ""
-	}
-	return w.hosted.Variant.ID()
-}
-
-// setHosted installs a (possibly nil) variant, resetting batching state and
-// simulating the model-load delay. The caller re-routes any queued queries.
-func (w *worker) setHosted(ref *allocator.VariantRef, now time.Duration) {
-	w.hosted = ref
-	w.policy.Reset()
-	if ref == nil {
-		w.maxBatch, w.memBatch = 0, 0
-		return
-	}
-	slo := w.sys.slos[ref.Family]
-	w.maxBatch = profiles.MaxBatch(w.dev.Spec, ref.Variant, slo)
-	w.memBatch = profiles.MaxMemoryBatch(w.dev.Spec, ref.Variant)
-	w.loadingUntil = now + w.sys.cfg.ModelLoadDelay
-	w.loads++
-	w.sys.tc.ModelLoads.Inc()
-}
-
-// maxProfiledBatch bounds the profiler's pre-computed batch range; larger
-// batches fall back to the analytical model.
-const maxProfiledBatch = 64
-
-// procTime is the batch latency of the hosted variant on this device: an
-// O(1) lookup in the controller's profile store (§3), falling back to the
-// analytical model for batch sizes beyond the profiled range.
-func (w *worker) procTime(b int) time.Duration {
-	if d, ok := w.sys.profileStore.Get(w.hosted.Variant.ID(), w.dev.Spec.Type, b); ok {
-		return d
-	}
-	return profiles.Latency(w.dev.Spec, w.hosted.Variant, b)
-}
-
-// enqueue admits a routed query and re-evaluates the batching decision.
-func (w *worker) enqueue(q query) {
-	if w.down {
-		// Routed before the table caught up with the failure; bounce back.
-		w.sys.requeue(w.sys.engine.Now(), q, telemetry.CauseStaleRoute)
-		return
-	}
-	now := w.sys.engine.Now()
-	w.noteArrival(now)
-	if tr := w.sys.tracer; tr != nil {
-		// The enqueue event carries the plan and overload episode in force,
-		// anchoring the attribution engine's causal joins.
-		tr.RecordCtx(now, telemetry.EvEnqueue, q.id, q.family, w.dev.ID, -1,
-			w.sys.traceCtx(q.family, telemetry.CauseNone))
-	}
-	q.enqueueAt = now
-	w.queue = append(w.queue, q)
-	w.syncDepth()
-	w.evaluate()
-}
-
-// takeQueue removes and returns all queued queries (used when the hosted
-// model changes and the queue must be re-routed).
-func (w *worker) takeQueue() []query {
-	qs := w.queue
-	w.queue = nil
-	w.syncDepth()
-	w.cancelWake()
-	return qs
+	w.sys.guard.NoteDepth(w.dev.ID(), w.dev.QueueLen())
 }
 
 func (w *worker) cancelWake() {
@@ -175,206 +58,124 @@ func (w *worker) cancelWake() {
 	}
 }
 
-// fail kills the device: the in-flight batch (its completion event is
-// cancelled — the hardware died mid-execution) and the queue are returned
-// stranded for the system to requeue; the hosted model is lost.
-func (w *worker) fail() []query {
-	w.down = true
-	stranded := w.takeQueue()
-	if w.busy {
-		// Fold the partial execution into the busy-time account: the device
-		// was working until the moment it died.
-		w.busyAccum += w.sys.engine.Now() - w.busyStart
-	}
-	if w.inflightEv != nil {
-		w.inflightEv.Cancel()
-		w.inflightEv = nil
-	}
-	stranded = append(stranded, w.inflight...)
-	w.inflight = nil
-	w.busy = false
-	w.hosted = nil
-	w.maxBatch, w.memBatch = 0, 0
-	w.loadingUntil = 0
-	w.policy.Reset()
-	return stranded
+// setHosted installs a (possibly nil) variant with the given load delay and
+// returns the queued queries for the caller to re-route.
+func (w *worker) setHosted(ref *allocator.VariantRef, now, loadDelay time.Duration) []query {
+	qs := w.dev.SetHosted(ref, now, loadDelay)
+	w.afterHosting(ref)
+	return qs
 }
 
-// busyTime returns the device's cumulative execution time up to now,
-// including the elapsed part of an in-flight batch.
-func (w *worker) busyTime(now time.Duration) time.Duration {
-	if w.busy {
-		return w.busyAccum + (now - w.busyStart)
+// afterHosting accounts a hosting change: the queue is gone, so is any
+// pending wake-up, and a hosted variant is a model load.
+func (w *worker) afterHosting(ref *allocator.VariantRef) {
+	w.syncDepth()
+	w.cancelWake()
+	if ref != nil {
+		w.sys.tc.ModelLoads.Inc()
 	}
-	return w.busyAccum
 }
 
-// recover brings the device back with an empty memory: it reloads ref (the
-// current plan's hosting for it, usually nil until the next re-allocation)
-// with the full model-load delay.
-func (w *worker) recover(ref *allocator.VariantRef, now time.Duration) {
-	w.down = false
-	w.setHosted(ref, now)
+// enqueue admits a routed query and re-evaluates the batching decision.
+func (w *worker) enqueue(q query) {
+	now := w.sys.engine.Now()
+	if !w.dev.Enqueue(now, q) {
+		// Routed before the table caught up with the failure; bounce back.
+		w.sys.requeue(now, q, telemetry.CauseStaleRoute)
+		return
+	}
+	if tr := w.sys.tracer; tr != nil {
+		// The enqueue event carries the plan and overload episode in force,
+		// anchoring the attribution engine's causal joins.
+		tr.RecordCtx(now, telemetry.EvEnqueue, q.ID, q.Family, w.dev.ID(), -1,
+			w.sys.traceCtx(q.Family, telemetry.CauseNone))
+	}
+	w.syncDepth()
 	w.evaluate()
 }
 
-// dropExpired removes queries that cannot possibly complete within their
-// SLO any more — even executed alone and immediately, the batch-1 latency
-// would land past the deadline. Executing them would only waste capacity
-// (the client has timed out regardless); they count as SLO violations.
-func (w *worker) dropExpired(now time.Duration) {
-	horizon := now + w.procTime(1)
-	keep := w.queue[:0]
-	for _, q := range w.queue {
-		if q.deadline < horizon {
-			w.sys.dropQuery(now, q, telemetry.CauseExpired)
-			continue
-		}
-		keep = append(keep, q)
-	}
-	w.queue = keep
-	w.syncDepth()
-}
-
-// evaluate runs the batching policy and acts on its decision. It is called
-// on arrival, on batch completion, on load completion and on wake-up.
+// evaluate runs the model's batching decision and performs its actions. It
+// is called on arrival, on batch completion, on load completion and on
+// wake-up.
 func (w *worker) evaluate() {
 	now := w.sys.engine.Now()
-	if w.busy || w.down {
-		return
-	}
-	if w.hosted == nil || w.maxBatch < 1 {
-		// Nothing runnable here; shed whatever was routed to us.
-		for _, q := range w.queue {
-			w.sys.dropQuery(now, q, telemetry.CauseNoRoute)
+	w.acts = w.dev.Evaluate(now, w.acts[:0])
+	w.syncDepth()
+	w.cancelWake()
+	tc := &w.sys.tc
+	for i := range w.acts {
+		a := &w.acts[i]
+		switch a.Kind {
+		case device.Drop:
+			if a.Cause == telemetry.CausePolicyDrop {
+				tc.BatchDrops.Inc()
+			}
+			w.sys.dropQuery(now, a.Query, a.Cause)
+		case device.Idle:
+			tc.BatchIdles.Inc()
+		case device.Wait:
+			tc.BatchWaits.Inc()
+			w.wake = w.sys.engine.Schedule(a.At, w.onWake)
+		case device.Load:
+			w.wake = w.sys.engine.Schedule(a.At, w.onWake)
+		case device.Run:
+			tc.BatchExecutes.Inc()
+			w.start(now, a)
 		}
-		w.queue = nil
-		w.syncDepth()
-		return
-	}
-	if now < w.loadingUntil {
-		// Model still loading: hold the queue and try again when ready.
-		w.cancelWake()
-		until := w.loadingUntil
-		w.wake = w.sys.engine.Schedule(until, func() {
-			w.wake = nil
-			w.evaluate()
-		})
-		return
-	}
-	w.dropExpired(now)
-	if len(w.queue) == 0 {
-		w.cancelWake()
-		return
-	}
-
-	pq := make([]batching.Query, len(w.queue))
-	for i, q := range w.queue {
-		pq[i] = batching.Query{ID: q.id, Arrival: q.arrival, Deadline: q.deadline}
-	}
-	ctx := batching.Context{
-		Now:         now,
-		Queue:       pq,
-		MaxBatch:    w.maxBatch,
-		MemBatch:    w.memBatch,
-		ProcTime:    w.procTime,
-		ArrivalRate: w.arrivalRate(),
-	}
-	d := w.policy.Decide(&ctx)
-	if len(d.Drop) > 0 {
-		w.sys.tc.BatchDrops.Add(int64(len(d.Drop)))
-		w.applyDrops(now, d.Drop)
-	}
-	switch d.Action {
-	case batching.Idle:
-		w.sys.tc.BatchIdles.Inc()
-		w.cancelWake()
-	case batching.Wait:
-		w.sys.tc.BatchWaits.Inc()
-		w.cancelWake()
-		at := d.WakeAt
-		if at <= now {
-			at = now
-		}
-		w.wake = w.sys.engine.Schedule(at, func() {
-			w.wake = nil
-			w.evaluate()
-		})
-	case batching.Execute:
-		w.sys.tc.BatchExecutes.Inc()
-		w.cancelWake()
-		w.execute(now, d.BatchSize)
+		// Loaded needs nothing: the engine's own load-complete event
+		// re-admits the device to routing.
 	}
 }
 
-// applyDrops removes the given ascending queue indices, recording drops.
-func (w *worker) applyDrops(now time.Duration, drop []int) {
-	di := 0
-	keep := w.queue[:0]
-	for i, q := range w.queue {
-		if di < len(drop) && drop[di] == i {
-			w.sys.dropQuery(now, q, telemetry.CausePolicyDrop)
-			di++
-			continue
-		}
-		keep = append(keep, q)
-	}
-	w.queue = keep
-	w.syncDepth()
-}
-
-// execute runs the first b queued queries as one batch.
-func (w *worker) execute(now time.Duration, b int) {
-	if b > len(w.queue) {
-		b = len(w.queue)
-	}
-	if b < 1 {
-		return
-	}
-	batch := make([]query, b)
-	copy(batch, w.queue[:b])
-	for i := range batch {
-		// Formation and execution start coincide in the simulator; the live
-		// worker stamps them the same way, so batch_form is ~0 by design.
-		batch[i].formAt = now
-		batch[i].execAt = now
-	}
-	w.queue = append(w.queue[:0], w.queue[b:]...)
-	w.syncDepth()
-
-	batchID := w.sys.nextBatchID
+// start records a batch the model began executing and schedules its
+// completion.
+func (w *worker) start(now time.Duration, a *device.Action) {
+	w.batchID = w.sys.nextBatchID
 	w.sys.nextBatchID++
 	w.sys.tc.Batches.Inc()
-	w.sys.tc.BatchQueries.Add(int64(b))
-	if w.sys.tracer != nil {
-		for _, q := range batch {
-			w.sys.tracer.Record(now, telemetry.EvBatchFormed, q.id, q.family, w.dev.ID, batchID)
-			w.sys.tracer.Record(now, telemetry.EvExecStart, q.id, q.family, w.dev.ID, batchID)
+	w.sys.tc.BatchQueries.Add(int64(len(a.Batch)))
+	if tr := w.sys.tracer; tr != nil {
+		for _, q := range a.Batch {
+			tr.Record(now, telemetry.EvBatchFormed, q.ID, q.Family, w.dev.ID(), w.batchID)
+			tr.Record(now, telemetry.EvExecStart, q.ID, q.Family, w.dev.ID(), w.batchID)
 		}
 	}
+	w.done = w.sys.engine.Schedule(a.At, w.onDone)
+}
 
-	accuracy := w.hosted.Variant.Accuracy
-	done := now + w.procTime(b)
-	w.busy = true
-	w.busyStart = now
-	w.lastBatch = b
-	w.batchesRun++
-	w.inflight = batch
-	w.inflightEv = w.sys.engine.Schedule(done, func() {
-		w.busy = false
-		w.busyAccum += done - w.busyStart
-		w.inflight = nil
-		w.inflightEv = nil
-		violations := 0
-		for _, q := range batch {
-			if done <= q.deadline {
-				w.sys.serveQuery(done, q, accuracy, w.dev.ID, batchID)
-			} else {
-				w.sys.lateQuery(done, q, w.dev.ID, batchID)
-				violations++
-			}
+// complete finishes the in-flight batch and re-evaluates.
+func (w *worker) complete() {
+	now := w.sys.engine.Now()
+	w.done = nil
+	batch, v := w.dev.Complete(now)
+	for _, q := range batch {
+		if now <= q.Deadline {
+			w.sys.serveQuery(now, q, v.Accuracy, w.dev.ID(), w.batchID)
+		} else {
+			w.sys.lateQuery(now, q, w.dev.ID(), w.batchID)
 		}
-		w.policy.Observe(len(batch), violations)
-		w.evaluate()
-	})
+	}
+	w.evaluate()
+}
+
+// fail kills the device: its completion event is cancelled (the hardware
+// died mid-execution) and the stranded queries are returned for the system
+// to requeue.
+func (w *worker) fail() []device.Action {
+	if w.done != nil {
+		w.done.Cancel()
+		w.done = nil
+	}
+	w.cancelWake()
+	stranded := w.dev.Fail(w.sys.engine.Now(), nil)
+	w.syncDepth()
+	return stranded
+}
+
+// recover brings the device back with an empty memory, reloading ref with
+// the full model-load delay.
+func (w *worker) recover(ref *allocator.VariantRef, now time.Duration) {
+	w.dev.Recover(ref, now, w.sys.cfg.ModelLoadDelay)
+	w.afterHosting(ref)
+	w.evaluate()
 }

@@ -6,6 +6,9 @@ import (
 
 	"proteus/internal/allocator"
 	"proteus/internal/batching"
+	"proteus/internal/cluster"
+	"proteus/internal/profiles"
+	"proteus/internal/telemetry"
 	"proteus/internal/trace"
 )
 
@@ -26,20 +29,19 @@ func TestWorkerQueueExpiryDropsDoomedQueries(t *testing.T) {
 	sys, w := harness(t, batching.NewAccScale())
 	// Install a hosted variant manually (CPU, efficientnet b0).
 	ref := &allocator.VariantRef{Family: 0, Variant: sys.cfg.Families[0].Variants[0]}
-	w.setHosted(ref, 0)
-	w.loadingUntil = 0
+	w.setHosted(ref, 0, 0)
 
 	// A query whose deadline is already closer than even a batch-1 run.
 	sys.engine.Schedule(0, func() {
-		w.enqueue(query{id: 1, family: 0, arrival: 0, deadline: time.Millisecond})
+		w.enqueue(query{ID: 1, Family: 0, Arrival: 0, Deadline: time.Millisecond})
 	})
 	sys.engine.Run()
 	sum := sys.collector.Summarize(-1)
 	if sum.Dropped != 1 {
 		t.Fatalf("doomed query not dropped: %+v", sum)
 	}
-	if len(w.queue) != 0 {
-		t.Fatalf("queue not drained: %d", len(w.queue))
+	if n := w.dev.QueueLen(); n != 0 {
+		t.Fatalf("queue not drained: %d", n)
 	}
 }
 
@@ -48,13 +50,12 @@ func TestWorkerExecutesAndObservesBatch(t *testing.T) {
 	// Worker 0 is a CPU: host the family's fastest variant, the only one
 	// SLO-feasible there.
 	ref := &allocator.VariantRef{Family: 0, Variant: sys.cfg.Families[0].Variants[0]}
-	w.setHosted(ref, 0)
-	w.loadingUntil = 0
+	w.setHosted(ref, 0, 0)
 	slo := sys.slos[0]
 
 	sys.engine.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
-			w.enqueue(query{id: uint64(i), family: 0, arrival: 0, deadline: 4 * slo})
+			w.enqueue(query{ID: uint64(i), Family: 0, Arrival: 0, Deadline: 4 * slo})
 		}
 	})
 	sys.engine.Run()
@@ -62,15 +63,49 @@ func TestWorkerExecutesAndObservesBatch(t *testing.T) {
 	if sum.Served+sum.Late != 3 {
 		t.Fatalf("batch incomplete: %+v", sum)
 	}
-	if w.batchesRun == 0 {
+	if sys.nextBatchID == 0 {
 		t.Fatal("no batches recorded")
+	}
+}
+
+// TestWorkerLatencyFollowsDeviceSpec pins that batch latency comes from the
+// device's own spec, so a cluster.TypeCount.Spec override reaches the data
+// path and not only the planner.
+func TestWorkerLatencyFollowsDeviceSpec(t *testing.T) {
+	cfg := smallConfig(t)
+	spec := cluster.Spec(cluster.CPU)
+	spec.FixedOverheadMS = 0.002
+	spec.EffGFLOPsPerMS = 1e4
+	cfg.Cluster = cluster.New([]cluster.TypeCount{{Type: cluster.CPU, Count: 1, Spec: spec}})
+	cfg.Batching = func() batching.Policy { return batching.NewAIMD() }
+	cfg.Tracer = telemetry.NewTracer(64)
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sys.workers[0]
+	v := cfg.Families[0].Variants[0]
+	w.setHosted(&allocator.VariantRef{Family: 0, Variant: v}, 0, 0)
+	sys.engine.Schedule(0, func() {
+		w.enqueue(query{Family: 0, Deadline: time.Second})
+	})
+	sys.engine.Run()
+	want := profiles.Latency(spec, v, 1)
+	var done []time.Duration
+	for _, ev := range cfg.Tracer.Events() {
+		if ev.Kind == telemetry.EvDone {
+			done = append(done, ev.At)
+		}
+	}
+	if len(done) != 1 || done[0] != want {
+		t.Fatalf("completions at %v, want one at %v (the overridden spec's batch-1 latency)", done, want)
 	}
 }
 
 func TestWorkerWithoutModelShedsEverything(t *testing.T) {
 	sys, w := harness(t, batching.NewAccScale())
 	sys.engine.Schedule(0, func() {
-		w.enqueue(query{id: 1, family: 0, arrival: 0, deadline: time.Second})
+		w.enqueue(query{ID: 1, Family: 0, Arrival: 0, Deadline: time.Second})
 	})
 	sys.engine.Run()
 	if sum := sys.collector.Summarize(-1); sum.Dropped != 1 {
@@ -84,8 +119,8 @@ func TestWorkerLoadingDelaysExecution(t *testing.T) {
 	slo := sys.slos[0]
 	deadline := sys.cfg.ModelLoadDelay + 3*slo
 	sys.engine.Schedule(0, func() {
-		w.setHosted(ref, sys.engine.Now()) // starts the load timer
-		w.enqueue(query{id: 1, family: 0, arrival: 0, deadline: deadline})
+		w.setHosted(ref, sys.engine.Now(), sys.cfg.ModelLoadDelay) // starts the load timer
+		w.enqueue(query{ID: 1, Family: 0, Arrival: 0, Deadline: deadline})
 	})
 	sys.engine.Run()
 	sum := sys.collector.Summarize(-1)
@@ -98,19 +133,39 @@ func TestWorkerLoadingDelaysExecution(t *testing.T) {
 	}
 }
 
+// rateProbe is a batching policy that records the arrival rate each
+// decision sees and never executes.
+type rateProbe struct{ rates []float64 }
+
+func (*rateProbe) Name() string     { return "rate-probe" }
+func (*rateProbe) Observe(int, int) {}
+func (*rateProbe) Reset()           {}
+func (p *rateProbe) Decide(ctx *batching.Context) batching.Decision {
+	p.rates = append(p.rates, ctx.ArrivalRate)
+	return batching.Decision{Action: batching.Idle}
+}
+
 func TestWorkerRateEstimator(t *testing.T) {
-	sys, w := harness(t, batching.NewAccScale())
-	_ = sys
+	probe := &rateProbe{}
+	sys, w := harness(t, probe)
+	w.setHosted(&allocator.VariantRef{Family: 0, Variant: sys.cfg.Families[0].Variants[0]}, 0, 0)
+	arrive := func(at time.Duration) {
+		sys.engine.Schedule(at, func() {
+			w.enqueue(query{Family: 0, Arrival: at, Deadline: time.Hour})
+		})
+	}
 	// 100 arrivals in second 0, then silence.
 	for i := 0; i < 100; i++ {
-		w.noteArrival(time.Duration(i) * 10 * time.Millisecond)
+		arrive(time.Duration(i) * 10 * time.Millisecond)
 	}
-	if r := w.arrivalRate(); r < 90 {
+	sys.engine.Run()
+	if r := probe.rates[len(probe.rates)-1]; r < 90 {
 		t.Fatalf("open-bucket rate %v, want ~100", r)
 	}
 	// Close the bucket and decay through idle seconds.
-	w.noteArrival(5 * time.Second)
-	if r := w.arrivalRate(); r > 40 {
+	arrive(5 * time.Second)
+	sys.engine.Run()
+	if r := probe.rates[len(probe.rates)-1]; r > 40 {
 		t.Fatalf("rate %v did not decay after idle seconds", r)
 	}
 }

@@ -1,8 +1,9 @@
 // Package profiles implements the model profiler of Proteus's controller
 // (§3): it derives per-(device type, model variant, batch size) inference
 // latencies, memory footprints, SLO-feasible maximum batch sizes and peak
-// throughput capacities P_{d,m,q} (§4), and stores them in an in-memory
-// key-value store with O(1) lookup as the paper describes.
+// throughput capacities P_{d,m,q} (§4). The paper keeps profiled values in
+// an O(1) key-value store; here every lookup evaluates the analytical model
+// below on the device's own spec, which is just as cheap.
 //
 // # Latency model
 //
@@ -21,7 +22,6 @@ package profiles
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"proteus/internal/cluster"
@@ -74,10 +74,11 @@ func MaxMemoryBatch(spec cluster.TypeSpec, v models.Variant) int {
 func MaxSLOBatch(spec cluster.TypeSpec, v models.Variant, slo time.Duration) int {
 	budgetMS := float64(slo) / float64(time.Millisecond) / 2
 	perItem := ScaledCost(v) / spec.EffGFLOPsPerMS
-	// The small epsilon keeps boundary cases (batch-1 latency exactly equal
-	// to slo/2, as for the SLO-defining variant itself) feasible despite
-	// floating-point truncation.
-	b := int((budgetMS-spec.FixedOverheadMS)/perItem + 1e-4)
+	// A 1ns slack keeps boundary cases (batch-1 latency exactly equal to
+	// slo/2, as for the SLO-defining variant itself) feasible despite
+	// floating-point truncation. Slack in batch units would grow with the
+	// per-item latency and admit batches that overrun slo/2.
+	b := int((budgetMS - spec.FixedOverheadMS + 1e-6) / perItem)
 	if b < 0 {
 		return 0
 	}
@@ -145,71 +146,4 @@ func FamilySLO(f models.Family, multiplier float64) time.Duration {
 		}
 	}
 	return time.Duration(float64(fastest) * multiplier)
-}
-
-// Record is one profiled measurement.
-type Record struct {
-	VariantID string
-	Device    cluster.DeviceType
-	Batch     int
-	Latency   time.Duration
-}
-
-type storeKey struct {
-	variantID string
-	device    cluster.DeviceType
-	batch     int
-}
-
-// Store is the profiler's in-memory key-value store, keyed by the 3-tuple
-// (model variant, device type, batch size) for O(1) lookup (§3). It is safe
-// for concurrent use: the controller refreshes it periodically while load
-// balancers and workers read it.
-type Store struct {
-	mu sync.RWMutex
-	m  map[storeKey]time.Duration
-}
-
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{m: make(map[storeKey]time.Duration)}
-}
-
-// Put records a measurement, overwriting any previous value.
-func (s *Store) Put(r Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[storeKey{r.VariantID, r.Device, r.Batch}] = r.Latency
-}
-
-// Get returns the stored latency for (variant, device, batch).
-func (s *Store) Get(variantID string, device cluster.DeviceType, batch int) (time.Duration, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.m[storeKey{variantID, device, batch}]
-	return d, ok
-}
-
-// Len returns the number of stored records.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
-// ProfileAll populates the store with the analytical latency for every
-// (variant, device type, batch) combination up to maxBatch, mimicking the
-// controller's profiler pass when models are registered.
-func (s *Store) ProfileAll(reg *models.Registry, types []cluster.DeviceType, maxBatch int) {
-	for _, v := range reg.AllVariants() {
-		for _, t := range types {
-			spec := cluster.Spec(t)
-			for b := 1; b <= maxBatch; b++ {
-				if !Fits(spec, v, b) {
-					break
-				}
-				s.Put(Record{VariantID: v.ID(), Device: t, Batch: b, Latency: Latency(spec, v, b)})
-			}
-		}
-	}
 }

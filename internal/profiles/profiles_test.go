@@ -132,20 +132,35 @@ func TestFamilySLO(t *testing.T) {
 }
 
 func TestMaxSLOBatch(t *testing.T) {
-	f := effnet(t)
-	b0 := variant(t, f, "b0")
-	slo := FamilySLO(f, 2)
-	spec := cluster.Spec(cluster.V100)
-	b := MaxSLOBatch(spec, b0, slo)
-	if b < 1 {
-		t.Fatalf("b0 must be SLO-feasible on V100, got max batch %d", b)
-	}
-	// Defining property: latency at b is within slo/2, at b+1 it is not.
-	if Latency(spec, b0, b) > slo/2 {
-		t.Fatalf("latency at max batch %v exceeds slo/2 %v", Latency(spec, b0, b), slo/2)
-	}
-	if Latency(spec, b0, b+1) <= slo/2 {
-		t.Fatalf("max batch %d not maximal", b)
+	reg := models.MustRegistry(models.Zoo())
+	for _, c := range []struct {
+		variant string
+		device  cluster.DeviceType
+		mult    float64
+	}{
+		{"efficientnet/b0", cluster.V100, 2},
+		// A slow per-item variant whose budget ends just short of a whole
+		// batch.
+		{"bert/bert-small", cluster.GTX1080Ti, 1.9},
+	} {
+		v, ok := reg.Variant(c.variant)
+		if !ok {
+			t.Fatalf("%s not in the zoo", c.variant)
+		}
+		fam, _ := reg.Family(v.Family)
+		slo := FamilySLO(fam, c.mult)
+		spec := cluster.Spec(c.device)
+		b := MaxSLOBatch(spec, v, slo)
+		if b < 1 {
+			t.Fatalf("%s must be SLO-feasible on %s, got max batch %d", c.variant, c.device, b)
+		}
+		// Defining property: latency at b is within slo/2, at b+1 it is not.
+		if Latency(spec, v, b) > slo/2 {
+			t.Fatalf("%s on %s: latency at max batch %d is %v, exceeds slo/2 %v", c.variant, c.device, b, Latency(spec, v, b), slo/2)
+		}
+		if Latency(spec, v, b+1) <= slo/2 {
+			t.Fatalf("%s on %s: max batch %d not maximal", c.variant, c.device, b)
+		}
 	}
 }
 
@@ -211,66 +226,6 @@ func TestAccuracyThroughputTradeoffExists(t *testing.T) {
 				f.Name, high, low)
 		}
 	}
-}
-
-func TestStore(t *testing.T) {
-	s := NewStore()
-	if _, ok := s.Get("x", cluster.CPU, 1); ok {
-		t.Fatal("empty store returned a record")
-	}
-	s.Put(Record{VariantID: "resnet/50", Device: cluster.V100, Batch: 4, Latency: 33 * time.Millisecond})
-	d, ok := s.Get("resnet/50", cluster.V100, 4)
-	if !ok || d != 33*time.Millisecond {
-		t.Fatalf("Get: %v %v", d, ok)
-	}
-	if _, ok := s.Get("resnet/50", cluster.V100, 5); ok {
-		t.Fatal("wrong batch matched")
-	}
-	s.Put(Record{VariantID: "resnet/50", Device: cluster.V100, Batch: 4, Latency: 44 * time.Millisecond})
-	d, _ = s.Get("resnet/50", cluster.V100, 4)
-	if d != 44*time.Millisecond {
-		t.Fatal("Put must overwrite")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len %d", s.Len())
-	}
-}
-
-func TestProfileAll(t *testing.T) {
-	reg := models.MustRegistry(models.Zoo())
-	s := NewStore()
-	s.ProfileAll(reg, cluster.KnownTypes(), 8)
-	if s.Len() == 0 {
-		t.Fatal("store empty after ProfileAll")
-	}
-	// A stored value must equal the analytical model.
-	b0, _ := reg.Variant("efficientnet/b0")
-	got, ok := s.Get("efficientnet/b0", cluster.V100, 4)
-	if !ok {
-		t.Fatal("profiled record missing")
-	}
-	if want := Latency(cluster.Spec(cluster.V100), b0, 4); got != want {
-		t.Fatalf("stored %v, want %v", got, want)
-	}
-	// t5/11b on V100 must have no records (weights do not fit).
-	if _, ok := s.Get("t5/11b", cluster.V100, 1); ok {
-		t.Fatal("t5/11b profiled on V100 despite not fitting")
-	}
-}
-
-func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewStore()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 1000; i++ {
-			s.Put(Record{VariantID: "m", Device: cluster.CPU, Batch: i % 8, Latency: time.Duration(i)})
-		}
-	}()
-	for i := 0; i < 1000; i++ {
-		s.Get("m", cluster.CPU, i%8)
-	}
-	<-done
 }
 
 func TestScaledCostSubLinear(t *testing.T) {

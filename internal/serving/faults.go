@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"proteus/internal/allocator"
+	"proteus/internal/device"
 	"proteus/internal/telemetry"
 )
 
@@ -69,8 +70,8 @@ func (s *Server) failDevice(d int) {
 	stranded := s.workers[d].fail()
 	s.flight.Trigger(now, "device_failure", s.cfg.Cluster.Device(d).Name, -1, d)
 	s.rebuildTable()
-	for _, q := range stranded {
-		s.redispatch(q, telemetry.CauseDeviceFailure)
+	for _, a := range stranded {
+		s.redispatch(a.Query, a.Cause)
 	}
 	s.requestRealloc("failure")
 }
@@ -107,37 +108,33 @@ func (s *Server) recoverDevice(d int) {
 	s.requestRealloc("recovery")
 }
 
-// redispatch returns a stranded query to the router: dropped if it already
-// burned its re-route budget (Config.MaxRetries) or cannot meet its
-// deadline, re-routed to a surviving replica otherwise. cause records why
-// the query was stranded (device failure, stale route, mid-flight loss) on
-// the requeue and retry trace events, so attribution can name the penalty.
+// redispatch returns a stranded query to the router: re-routed to a
+// surviving replica, or dropped when device.Retry refuses it. cause records
+// why the query was stranded (device failure, stale route, mid-flight loss)
+// on the requeue and retry trace events, so attribution can name the
+// penalty.
 func (s *Server) redispatch(q liveQuery, cause telemetry.Cause) {
 	now := s.now()
 	s.tc.Requeued.Inc()
 	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRequeued, q.id, q.family, -1, -1,
-			s.traceCtx(q.family, cause))
+		s.tracer.RecordCtx(now, telemetry.EvRequeued, q.ID, q.Family, -1, -1,
+			s.traceCtx(q.Family, cause))
 	}
 	s.mu.Lock()
-	s.collector.Requeued(now, q.family)
-	if q.retries >= s.cfg.MaxRetries {
-		s.mu.Unlock()
-		s.recordDrop(q, telemetry.CauseRetryBudget)
-		return
+	s.collector.Requeued(now, q.Family)
+	drop := device.Retry(&q, now, s.cfg.MaxRetries)
+	if drop == telemetry.CauseNone {
+		s.collector.Retried(now, q.Family)
 	}
-	if q.deadline <= now {
-		s.mu.Unlock()
-		s.recordDrop(q, telemetry.CauseExpired)
-		return
-	}
-	q.retries++
-	s.collector.Retried(now, q.family)
 	s.mu.Unlock()
+	if drop != telemetry.CauseNone {
+		s.recordDrop(q, drop)
+		return
+	}
 	s.tc.Retried.Inc()
 	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRetried, q.id, q.family, -1, -1,
-			s.traceCtx(q.family, cause))
+		s.tracer.RecordCtx(now, telemetry.EvRetried, q.ID, q.Family, -1, -1,
+			s.traceCtx(q.Family, cause))
 	}
 	s.dispatch(q)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"proteus/internal/cluster"
+	"proteus/internal/models"
 )
 
 // TestLiveFailureRedispatch kills a quarter of the live fleet while load is
@@ -112,5 +113,40 @@ func TestLiveFaultConfigValidation(t *testing.T) {
 	}}
 	if _, err := NewServer(cfg); err == nil {
 		t.Fatal("out-of-range fault device must fail config validation")
+	}
+}
+
+// TestCloseInterruptsModelLoad pins that a worker waiting out a model load
+// does not hold up shutdown: on a clock that never reaches the load's end,
+// Close still returns.
+func TestCloseInterruptsModelLoad(t *testing.T) {
+	fam := models.Zoo()[0]
+	clk := &fakeClock{}
+	s, err := newServer(Config{
+		Cluster:        cluster.New([]cluster.TypeCount{{Type: cluster.V100, Count: 1}}),
+		Families:       []models.Family{fam},
+		Allocator:      fixedAlloc{fam.Variants[0]},
+		ModelLoadDelay: time.Minute,
+	}, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.settle(t, 1)
+	// A recovered device reloads its planned variant for the full delay.
+	s.failDevice(0)
+	s.recoverDevice(0)
+	clk.settle(t, 1)
+	if next := clk.next(); next != time.Minute {
+		t.Fatalf("worker waits until %v, want the load's end %v", next, time.Minute)
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked on a worker mid-load")
 	}
 }

@@ -24,15 +24,16 @@ func TestMaxRetriesZeroDropsStranded(t *testing.T) {
 	}
 	defer s.Close()
 
+	done := make(chan Response, 1)
 	lq := liveQuery{
-		id:       1,
-		family:   0,
-		arrival:  s.now(),
-		deadline: s.now() + time.Minute,
-		done:     make(chan Response, 1),
+		ID:       1,
+		Family:   0,
+		Arrival:  s.now(),
+		Deadline: s.now() + time.Minute,
+		Reply:    done,
 	}
 	s.redispatch(lq, telemetry.CauseDeviceFailure)
-	resp := <-lq.done
+	resp := <-done
 	if resp.Outcome != OutcomeDropped {
 		t.Fatalf("outcome %s, want dropped (budget 0)", resp.Outcome)
 	}
@@ -56,28 +57,29 @@ func TestMaxRetriesTwoAllowsSecondRetry(t *testing.T) {
 
 	// A short deadline keeps the worker's non-work-conserving batch wait
 	// (which can stretch to the deadline) from stalling the test.
-	mk := func(id uint64, retries int) liveQuery {
+	mk := func(id uint64, retries int) (liveQuery, chan Response) {
+		done := make(chan Response, 1)
 		return liveQuery{
-			id:       id,
-			family:   0,
-			retries:  retries,
-			arrival:  s.now(),
-			deadline: s.now() + 2*time.Second,
-			done:     make(chan Response, 1),
-		}
+			ID:       id,
+			Family:   0,
+			Retries:  retries,
+			Arrival:  s.now(),
+			Deadline: s.now() + 2*time.Second,
+			Reply:    done,
+		}, done
 	}
-	first := mk(1, 1)
+	first, firstDone := mk(1, 1)
 	s.redispatch(first, telemetry.CauseDeviceFailure)
-	if resp := <-first.done; resp.Outcome == "" {
+	if resp := <-firstDone; resp.Outcome == "" {
 		t.Fatal("retried query got no response")
 	}
 	if sum := s.Summary(); sum.Retried != 1 {
 		t.Fatalf("retried=%d, want 1 (budget 2, one retry used)", sum.Retried)
 	}
 
-	spent := mk(2, 2)
+	spent, spentDone := mk(2, 2)
 	s.redispatch(spent, telemetry.CauseDeviceFailure)
-	if resp := <-spent.done; resp.Outcome != OutcomeDropped {
+	if resp := <-spentDone; resp.Outcome != OutcomeDropped {
 		t.Fatalf("outcome %s, want dropped (budget exhausted)", resp.Outcome)
 	}
 	if sum := s.Summary(); sum.Retried != 1 {

@@ -1,11 +1,13 @@
 // Package serving is the live cluster mode of Proteus: the same control
-// plane and data path as the simulator (internal/core), but running on
-// wall-clock time with real concurrency — an HTTP front end per §3's load
-// balancers, goroutine workers whose "hardware executor" sleeps for the
+// plane as the simulator (internal/core) and the same per-device state
+// machine (internal/device), but running on wall-clock time with real
+// concurrency — an HTTP front end per §3's load balancers, one goroutine
+// and one mutex per device whose "hardware executor" waits out the
 // profiled batch latency (the model-execution substitution documented in
 // DESIGN.md), and a background controller goroutine re-allocating
 // periodically. The paper's §6.2 reports its simulator matching this kind
-// of deployment within ~1%; BenchmarkSimVsLive repeats that check here.
+// of deployment within ~1%; BenchmarkSimVsLive repeats that check here, and
+// TestSimAndLiveAgree pins per-query agreement on a fake clock.
 package serving
 
 import (
@@ -167,9 +169,9 @@ type Response struct {
 
 // Server is the assembled live cluster.
 type Server struct {
-	cfg   Config
-	slos  []time.Duration
-	start time.Time
+	cfg  Config
+	slos []time.Duration
+	clk  clock
 
 	mu        sync.Mutex
 	rng       *numeric.RNG
@@ -226,13 +228,18 @@ type Server struct {
 // solved synchronously (for idle demand), workers spin up, and the
 // controller loop begins.
 func NewServer(cfg Config) (*Server, error) {
+	return newServer(cfg, wallClock{start: time.Now()})
+}
+
+// newServer is NewServer on the given clock.
+func newServer(cfg Config, clk clock) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:      cfg,
-		start:    time.Now(),
+		clk:      clk,
 		rng:      numeric.NewRNG(cfg.Seed),
 		byName:   make(map[string]int),
 		down:     make([]bool, cfg.Cluster.Size()),
@@ -360,7 +367,7 @@ func (s *Server) Inflight() int64 { return s.inflight.Load() }
 
 // now returns the elapsed run time (all internal timestamps are durations
 // since server start, matching the simulator's time base).
-func (s *Server) now() time.Duration { return time.Since(s.start) }
+func (s *Server) now() time.Duration { return s.clk.now() }
 
 func (s *Server) controlLoop() {
 	defer s.wg.Done()
@@ -598,7 +605,7 @@ func (s *Server) rebuildTable() {
 				continue
 			}
 			admit[q] += y
-			if (d < len(s.down) && s.down[d]) || s.workers[d].loadingPast(now) {
+			if (d < len(s.down) && s.down[d]) || s.workers[d].loading(now) {
 				continue
 			}
 			masked.Routing[q][d] = y
@@ -636,17 +643,17 @@ func (s *Server) pickDevice(now time.Duration, q liveQuery) (int, telemetry.Caus
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.guard == nil {
-		d := s.table.Pick(q.family, s.rng)
+		d := s.table.Pick(q.Family, s.rng)
 		if d < 0 {
 			return -1, telemetry.CauseNoRoute
 		}
 		return d, telemetry.CauseNone
 	}
-	d := s.table.PickExcluding(q.family, s.rng, func(dev int) bool {
-		return s.guard.Banned(q.family, dev)
+	d := s.table.PickExcluding(q.Family, s.rng, func(dev int) bool {
+		return s.guard.Banned(q.Family, dev)
 	})
 	//lint:allow lockorder established order Server.mu → Guard.mu (also liveWorker.mu → Guard.mu); Guard methods are leaf locks that never call back into serving
-	if d >= 0 && !s.guard.Admit(now, d, q.deadline) {
+	if d >= 0 && !s.guard.Admit(now, d, q.Deadline) {
 		return -1, telemetry.CauseShedAdmission
 	}
 	if d < 0 {
@@ -668,51 +675,52 @@ func (s *Server) traceCtx(family int, cause telemetry.Cause) telemetry.Ctx {
 
 // Infer serves one query synchronously: routed, queued, batched, executed.
 func (s *Server) Infer(family string) Response {
-	q, ok := s.byName[family]
+	f, ok := s.byName[family]
 	if !ok {
 		return Response{Outcome: OutcomeDropped, Family: family}
 	}
+	done := make(chan Response, 1)
+	s.arrive(f, done)
+	return <-done
+}
+
+// arrive admits one query of family f; its response arrives on done.
+func (s *Server) arrive(f int, done chan Response) {
 	now := s.now()
 	id := s.nextID.Add(1) - 1
 	s.inflight.Add(1)
 	s.tc.Arrivals.Inc()
-	s.tracer.Record(now, telemetry.EvArrival, id, q, -1, -1)
-	s.recorder.Arrival(now, q)
+	s.tracer.Record(now, telemetry.EvArrival, id, f, -1, -1)
+	s.recorder.Arrival(now, f)
 	s.mu.Lock()
-	s.stats.Observe(now, q)
-	s.collector.Arrival(now, q)
+	s.stats.Observe(now, f)
+	s.collector.Arrival(now, f)
 	s.mu.Unlock()
 
-	lq := liveQuery{
-		id:       id,
-		family:   q,
-		arrival:  now,
-		deadline: now + s.slos[q],
-		done:     make(chan Response, 1),
+	q := liveQuery{
+		ID:       id,
+		Family:   f,
+		Arrival:  now,
+		Deadline: now + s.slos[f],
+		Reply:    done,
 	}
 	if s.draining.Load() {
 		// Graceful drain: refuse new work immediately; in-flight batches
 		// keep executing.
-		s.recordDrop(lq, telemetry.CauseDraining)
-		return <-lq.done
+		s.recordDrop(q, telemetry.CauseDraining)
+		return
 	}
-	d, cause := s.pickDevice(now, lq)
-	if d < 0 {
-		s.recordDrop(lq, cause)
-		return <-lq.done
-	}
-	s.tracer.Record(now, telemetry.EvRoute, id, q, d, -1)
-	s.workers[d].enqueue(lq)
-	return <-lq.done
+	s.dispatch(q)
 }
 
 func (s *Server) dispatch(q liveQuery) {
-	d, cause := s.pickDevice(s.now(), q)
+	now := s.now()
+	d, cause := s.pickDevice(now, q)
 	if d < 0 {
 		s.recordDrop(q, cause)
 		return
 	}
-	s.tracer.Record(s.now(), telemetry.EvRoute, q.id, q.family, d, -1)
+	s.tracer.Record(now, telemetry.EvRoute, q.ID, q.Family, d, -1)
 	s.workers[d].enqueue(q)
 }
 
@@ -720,62 +728,61 @@ func (s *Server) recordDrop(q liveQuery, cause telemetry.Cause) {
 	now := s.now()
 	s.tc.Dropped.Inc()
 	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvDropped, q.id, q.family, -1, -1,
-			s.traceCtx(q.family, cause))
+		s.tracer.RecordCtx(now, telemetry.EvDropped, q.ID, q.Family, -1, -1,
+			s.traceCtx(q.Family, cause))
 	}
-	s.recorder.Violation(now, q.family)
+	s.recorder.Violation(now, q.Family)
 	s.mu.Lock()
-	s.collector.Dropped(now, q.family)
+	s.collector.Dropped(now, q.Family)
 	s.mu.Unlock()
 	s.inflight.Add(-1)
-	q.done <- Response{Outcome: OutcomeDropped, Family: s.cfg.Families[q.family].Name,
-		LatencyMS: float64(now-q.arrival) / float64(time.Millisecond)}
+	reply(q, Response{Outcome: OutcomeDropped, Family: s.cfg.Families[q.Family].Name,
+		LatencyMS: float64(now-q.Arrival) / float64(time.Millisecond)})
 }
 
-func (s *Server) recordCompletion(q liveQuery, variant string, accuracy float64, device, batch int) {
-	now := s.now()
-	latency := now - q.arrival
+// recordCompletion answers a query whose batch finished at now on variant v.
+func (s *Server) recordCompletion(now time.Duration, q liveQuery, v models.Variant, device, batch int) {
+	latency := now - q.Arrival
 	resp := Response{
-		Variant:   variant,
-		Accuracy:  accuracy,
-		Family:    s.cfg.Families[q.family].Name,
+		Variant:   v.ID(),
+		Accuracy:  v.Accuracy,
+		Family:    s.cfg.Families[q.Family].Name,
 		LatencyMS: float64(latency) / float64(time.Millisecond),
 	}
-	served := now <= q.deadline
+	served := now <= q.Deadline
 	if served {
 		s.tc.Served.Inc()
 		if s.tracer != nil {
-			s.tracer.RecordCtx(now, telemetry.EvDone, q.id, q.family, device, batch,
-				s.traceCtx(q.family, telemetry.CauseNone))
+			s.tracer.RecordCtx(now, telemetry.EvDone, q.ID, q.Family, device, batch,
+				s.traceCtx(q.Family, telemetry.CauseNone))
 		}
 	} else {
 		s.tc.Late.Inc()
 		if s.tracer != nil {
-			s.tracer.RecordCtx(now, telemetry.EvLate, q.id, q.family, device, batch,
-				s.traceCtx(q.family, telemetry.CauseNone))
+			s.tracer.RecordCtx(now, telemetry.EvLate, q.ID, q.Family, device, batch,
+				s.traceCtx(q.Family, telemetry.CauseNone))
 		}
-		s.recorder.Violation(now, q.family)
+		s.recorder.Violation(now, q.Family)
 	}
 	// Per-phase latency decomposition: difference the lifecycle timestamps
-	// stamped at enqueue and batch formation. Negative skews (the stamps
-	// come from different wall-clock reads) clamp to zero in the recorder.
-	s.recorder.RecordPhases(q.family, device, tsdb.PhaseDurations{
-		Admission: q.enqueueAt - q.arrival,
-		Queue:     q.formAt - q.enqueueAt,
-		BatchForm: q.execAt - q.formAt,
-		Exec:      now - q.execAt,
+	// stamped at enqueue and batch formation.
+	s.recorder.RecordPhases(q.Family, device, tsdb.PhaseDurations{
+		Admission: q.EnqueueAt - q.Arrival,
+		Queue:     q.FormAt - q.EnqueueAt,
+		BatchForm: q.ExecAt - q.FormAt,
+		Exec:      now - q.ExecAt,
 	})
 	s.mu.Lock()
 	if served {
-		s.collector.Served(now, q.family, accuracy, latency)
+		s.collector.Served(now, q.Family, v.Accuracy, latency)
 		resp.Outcome = OutcomeServed
 	} else {
-		s.collector.Late(now, q.family, latency)
+		s.collector.Late(now, q.Family, latency)
 		resp.Outcome = OutcomeLate
 	}
 	s.mu.Unlock()
 	s.inflight.Add(-1)
-	q.done <- resp
+	reply(q, resp)
 }
 
 // Summary returns the run metrics so far.

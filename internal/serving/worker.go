@@ -8,71 +8,94 @@ import (
 	"proteus/internal/allocator"
 	"proteus/internal/batching"
 	"proteus/internal/cluster"
+	"proteus/internal/device"
+	"proteus/internal/models"
 	"proteus/internal/numeric"
 	"proteus/internal/overload"
-	"proteus/internal/profiles"
 	"proteus/internal/telemetry"
 	"proteus/internal/tsdb"
 )
 
-// liveQuery is one in-flight query inside the live cluster.
-type liveQuery struct {
-	id       uint64
-	family   int
-	arrival  time.Duration
-	deadline time.Duration
-	// retries counts failure re-dispatches; a query is retried at most
-	// Config.MaxRetries times before being dropped.
-	retries int
-	// Phase-decomposition timestamps: stamped at device enqueue and batch
-	// formation, differenced into per-phase durations at completion. A
-	// redispatch restamps enqueueAt, so admission absorbs the re-route wait.
-	enqueueAt time.Duration
-	formAt    time.Duration
-	execAt    time.Duration
-	done      chan Response
+// liveQuery is one in-flight query inside the live cluster; its Reply is the
+// chan Response the caller waits on.
+type liveQuery = device.Query
+
+// reply delivers q's response to its caller.
+func reply(q liveQuery, r Response) { q.Reply.(chan Response) <- r }
+
+// forever is the wake-up time of a wait that only an event ends.
+const forever = time.Duration(math.MaxInt64)
+
+// clock is the live driver's time source: durations since server start,
+// and waits that a wake-up or a stop interrupts.
+type clock interface {
+	now() time.Duration
+	// sleep blocks until the clock reaches until, wake delivers, or stop
+	// closes.
+	sleep(until time.Duration, wake, stop <-chan struct{})
+	// margin is how early a worker wakes from a batching wait.
+	margin() time.Duration
 }
 
-// liveWorker is the wall-clock counterpart of core's worker: a goroutine
-// owning one device, consulting its batching policy, and "executing"
-// batches by sleeping for the profiled latency. Arrivals and model swaps
-// wake it through a notification channel; non-work-conserving waits are a
-// single timer sleep, interruptible by new arrivals.
-type liveWorker struct {
-	sys    *Server
-	dev    cluster.Device
-	policy batching.Policy
+// wallClock is the clock of a deployed server.
+type wallClock struct{ start time.Time }
 
-	mu           sync.Mutex
-	queue        []liveQuery
-	hosted       *allocator.VariantRef
-	maxBatch     int
-	memBatch     int
-	loadingUntil time.Duration
-	down         bool
-	closed       bool
-	rng          *numeric.RNG
+func (c wallClock) now() time.Duration { return time.Since(c.start) }
+
+// margin is 5ms: the simulator can cut waits to the exact T_max_wait edge;
+// on wall clocks, scheduler jitter would turn that into misses. Inside the
+// margin a worker re-decides without sleeping, so it acts on the edge.
+func (wallClock) margin() time.Duration { return 5 * time.Millisecond }
+
+func (c wallClock) sleep(until time.Duration, wake, stop <-chan struct{}) {
+	if until == forever {
+		select {
+		case <-wake:
+		case <-stop:
+		}
+		return
+	}
+	d := until - c.now()
+	if d <= 0 {
+		return
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+	case <-wake:
+	case <-stop:
+	}
+}
+
+// liveWorker drives one device model on the server's clock: a goroutine
+// performs the model's actions, and one mutex serializes the model between
+// it and the arrival, control and fault paths. Executing a batch is a wait
+// until its profiled completion time; arrivals, hosting changes, failures
+// and shutdown interrupt any wait.
+type liveWorker struct {
+	sys *Server
+	id  int
+
+	mu     sync.Mutex
+	dev    *device.Device
+	closed bool
 
 	notify chan struct{}
 	stopc  chan struct{}
-
-	rateEWMA   float64
-	rateBucket int64
-	rateCount  int
-
-	// Execution-time accounting for the tsdb utilization series (guarded by
-	// mu): busyAccum is the total executed batch latency, lastBatch the size
-	// of the most recent batch.
-	busyAccum time.Duration
-	lastBatch int
 }
 
 func newLiveWorker(s *Server, dev cluster.Device, policy batching.Policy) *liveWorker {
 	return &liveWorker{
-		sys:    s,
-		dev:    dev,
-		policy: policy,
-		rng:    numeric.NewRNG(s.cfg.Seed ^ uint64(dev.ID+1)),
+		sys: s,
+		id:  dev.ID,
+		dev: device.New(device.Config{
+			Device:    dev,
+			Policy:    policy,
+			SLOs:      s.slos,
+			ExecNoise: s.cfg.ExecNoiseFrac,
+			RNG:       numeric.NewRNG(s.cfg.Seed ^ uint64(dev.ID+1)),
+		}),
 		notify: make(chan struct{}, 1),
 		stopc:  make(chan struct{}),
 	}
@@ -89,62 +112,45 @@ func (w *liveWorker) wake() {
 // (a no-op when the guard is off). Caller holds w.mu; the guard's lock is a
 // leaf, so the nesting is safe.
 func (w *liveWorker) syncDepthLocked() {
-	w.sys.guard.NoteDepth(w.dev.ID, len(w.queue))
+	w.sys.guard.NoteDepth(w.id, w.dev.QueueLen())
 }
 
-// guardProfile snapshots the worker's hosting for the overload guard's
-// admission bound and degradation ladder.
+// guardProfile snapshots the worker's hosting for the overload guard.
 func (w *liveWorker) guardProfile() overload.DeviceProfile {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.down || w.hosted == nil || w.maxBatch < 1 {
-		return overload.DeviceProfile{Family: -1}
-	}
-	f := w.hosted.Family
-	return overload.DeviceProfile{
-		Family:   f,
-		Accuracy: w.hosted.Variant.Accuracy,
-		MaxBatch: w.maxBatch,
-		Lat1:     profiles.Latency(w.dev.Spec, w.hosted.Variant, 1),
-		LatMax:   profiles.Latency(w.dev.Spec, w.hosted.Variant, w.maxBatch),
-		SLO:      w.sys.slos[f],
-	}
+	return w.dev.GuardProfile()
 }
 
 func (w *liveWorker) hostedID() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.hosted == nil {
-		return ""
-	}
-	return w.hosted.Variant.ID()
+	return w.dev.HostedID()
 }
 
-func (w *liveWorker) loadingPast(now time.Duration) bool {
+func (w *liveWorker) loading(now time.Duration) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return now < w.loadingUntil
+	return w.dev.Loading(now)
+}
+
+// deviceState snapshots the worker for the tsdb sampler.
+func (w *liveWorker) deviceState() tsdb.DeviceState {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.dev.Sample(w.sys.now())
 }
 
 // setHosted swaps the hosted variant, returning the queued queries that
 // must be re-routed elsewhere.
 func (w *liveWorker) setHosted(ref *allocator.VariantRef, loadDelay time.Duration) []liveQuery {
 	w.mu.Lock()
-	requeue := w.queue
-	w.queue = nil
+	requeue := w.dev.SetHosted(ref, w.sys.now(), loadDelay)
 	w.syncDepthLocked()
-	w.hosted = ref
-	w.policy.Reset()
-	if ref == nil {
-		w.maxBatch, w.memBatch = 0, 0
-	} else {
-		slo := w.sys.slos[ref.Family]
-		w.maxBatch = profiles.MaxBatch(w.dev.Spec, ref.Variant, slo)
-		w.memBatch = profiles.MaxMemoryBatch(w.dev.Spec, ref.Variant)
-		w.loadingUntil = w.sys.now() + loadDelay
+	w.mu.Unlock()
+	if ref != nil {
 		w.sys.tc.ModelLoads.Inc()
 	}
-	w.mu.Unlock()
 	w.wake()
 	return requeue
 }
@@ -155,7 +161,7 @@ func (w *liveWorker) enqueue(q liveQuery) {
 	// acquisition stays outside the worker lock.
 	var ctx telemetry.Ctx
 	if w.sys.tracer != nil {
-		ctx = w.sys.traceCtx(q.family, telemetry.CauseNone)
+		ctx = w.sys.traceCtx(q.Family, telemetry.CauseNone)
 	}
 	w.mu.Lock()
 	if w.closed {
@@ -163,40 +169,30 @@ func (w *liveWorker) enqueue(q liveQuery) {
 		w.sys.recordDrop(q, telemetry.CauseDraining)
 		return
 	}
-	if w.down {
+	now := w.sys.now()
+	if !w.dev.Enqueue(now, q) {
 		// Routed before the table caught up with the failure; bounce back.
 		w.mu.Unlock()
 		w.sys.redispatch(q, telemetry.CauseStaleRoute)
 		return
 	}
-	now := w.sys.now()
-	w.noteArrival(now)
 	if tr := w.sys.tracer; tr != nil {
 		// The enqueue event carries the plan and overload episode in force,
 		// anchoring the attribution engine's causal joins.
 		//lint:allow lockorder established order liveWorker.mu → Tracer.mu; the tracer's ring lock is a leaf that never calls out
-		tr.RecordCtx(now, telemetry.EvEnqueue, q.id, q.family, w.dev.ID, -1, ctx)
+		tr.RecordCtx(now, telemetry.EvEnqueue, q.ID, q.Family, w.id, -1, ctx)
 	}
-	q.enqueueAt = now
-	w.queue = append(w.queue, q)
 	w.syncDepthLocked() //lint:allow lockorder established order liveWorker.mu → Guard.mu (same direction as Server.mu → Guard.mu); Guard methods are leaf locks that never call back into serving
 	w.mu.Unlock()
 	w.wake()
 }
 
-// fail kills the device: the queue drains back to the caller for
-// re-dispatch and the hosted model is lost. An in-flight batch is handled by
-// executeBatch itself, which re-dispatches its queries when it observes the
-// failure after the (wasted) execution sleep.
-func (w *liveWorker) fail() []liveQuery {
+// fail kills the device and returns the stranded queries for re-dispatch:
+// the queue and, at once, the in-flight batch.
+func (w *liveWorker) fail() []device.Action {
 	w.mu.Lock()
-	w.down = true
-	stranded := w.queue
-	w.queue = nil
+	stranded := w.dev.Fail(w.sys.now(), nil)
 	w.syncDepthLocked()
-	w.hosted = nil
-	w.maxBatch, w.memBatch = 0, 0
-	w.policy.Reset()
 	w.mu.Unlock()
 	w.wake()
 	return stranded
@@ -207,9 +203,12 @@ func (w *liveWorker) fail() []liveQuery {
 // with the full model-load delay.
 func (w *liveWorker) recover(ref *allocator.VariantRef, loadDelay time.Duration) {
 	w.mu.Lock()
-	w.down = false
+	w.dev.Recover(ref, w.sys.now(), loadDelay)
 	w.mu.Unlock()
-	w.setHosted(ref, loadDelay)
+	if ref != nil {
+		w.sys.tc.ModelLoads.Inc()
+	}
+	w.wake()
 }
 
 func (w *liveWorker) shutdown() {
@@ -222,242 +221,90 @@ func (w *liveWorker) shutdown() {
 	w.wake()
 }
 
-func (w *liveWorker) noteArrival(now time.Duration) {
-	sec := int64(now / time.Second)
-	if sec != w.rateBucket {
-		const alpha = 0.3
-		w.rateEWMA = alpha*float64(w.rateCount) + (1-alpha)*w.rateEWMA
-		for s := w.rateBucket + 1; s < sec && s-w.rateBucket < 30; s++ {
-			w.rateEWMA *= 1 - alpha
-		}
-		w.rateBucket = sec
-		w.rateCount = 0
-	}
-	w.rateCount++
-}
-
-func (w *liveWorker) arrivalRate() float64 {
-	if float64(w.rateCount) > w.rateEWMA {
-		return float64(w.rateCount)
-	}
-	return w.rateEWMA
-}
-
-// deviceState snapshots the worker for the tsdb sampler.
-func (w *liveWorker) deviceState() tsdb.DeviceState {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	variant := ""
-	if w.hosted != nil {
-		variant = w.hosted.Variant.ID()
-	}
-	return tsdb.DeviceState{
-		Up:         !w.down,
-		QueueDepth: len(w.queue),
-		LastBatch:  w.lastBatch,
-		Variant:    variant,
-		BusyTime:   w.busyAccum,
-	}
-}
-
-// sleepInterruptible sleeps for d, returning early on a wake-up or stop.
-func (w *liveWorker) sleepInterruptible(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-w.notify:
-	case <-w.stopc:
-	}
-}
-
-// loop is the worker goroutine: wait for queries (or a policy wake-up),
-// apply the batching decision, execute batches by sleeping.
+// loop is the worker goroutine: complete the in-flight batch when its time
+// comes, run the model's batching decision, perform its actions, and wait
+// for the next thing to do.
 func (w *liveWorker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
+	var acts []device.Action
+	batchID := -1
 	for {
 		w.mu.Lock()
+		// Any wake-up sent so far is visible under the lock; drop its token.
+		select {
+		case <-w.notify:
+		default:
+		}
+		now := w.sys.now()
 		if w.closed {
-			pending := w.queue
-			w.queue = nil
+			acts = w.dev.Shutdown(acts[:0])
 			w.syncDepthLocked()
 			w.mu.Unlock()
-			for _, q := range pending {
-				w.sys.recordDrop(q, telemetry.CauseDraining)
+			for _, a := range acts {
+				w.sys.recordDrop(a.Query, a.Cause)
 			}
 			return
 		}
-		now := w.sys.now()
-		if w.down {
-			pending := w.queue
-			w.queue = nil
+		var done []liveQuery
+		var ran models.Variant
+		until, running := w.dev.Running()
+		if running && now >= until {
+			done, ran = w.dev.Complete(now)
+			running = false
+		}
+		acts = acts[:0]
+		if !running {
+			acts = w.dev.Evaluate(now, acts)
 			w.syncDepthLocked()
-			w.mu.Unlock()
-			for _, q := range pending {
-				w.sys.redispatch(q, telemetry.CauseDeviceFailure)
-			}
-			w.idleWait()
-			continue
-		}
-		if w.hosted == nil || w.maxBatch < 1 {
-			pending := w.queue
-			w.queue = nil
-			w.syncDepthLocked()
-			w.mu.Unlock()
-			for _, q := range pending {
-				w.sys.recordDrop(q, telemetry.CauseNoRoute)
-			}
-			w.idleWait()
-			continue
-		}
-		if now < w.loadingUntil {
-			until := w.loadingUntil - now
-			w.mu.Unlock()
-			time.Sleep(until)
-			w.sys.rebuildTable()
-			continue
-		}
-		if len(w.queue) == 0 {
-			w.mu.Unlock()
-			w.idleWait()
-			continue
-		}
-
-		hosted := *w.hosted
-		pq := make([]batching.Query, len(w.queue))
-		for i, q := range w.queue {
-			pq[i] = batching.Query{ID: uint64(i), Arrival: q.arrival, Deadline: q.deadline}
-		}
-		ctx := batching.Context{
-			Now:      now,
-			Queue:    pq,
-			MaxBatch: w.maxBatch,
-			MemBatch: w.memBatch,
-			ProcTime: func(b int) time.Duration {
-				return profiles.Latency(w.dev.Spec, hosted.Variant, b)
-			},
-			ArrivalRate: w.arrivalRate(),
-		}
-		d := w.policy.Decide(&ctx)
-		switch d.Action {
-		case batching.Execute:
-			w.sys.tc.BatchExecutes.Inc()
-		case batching.Wait:
-			w.sys.tc.BatchWaits.Inc()
-		case batching.Idle:
-			w.sys.tc.BatchIdles.Inc()
-		}
-		w.sys.tc.BatchDrops.Add(int64(len(d.Drop)))
-		var dropped []liveQuery
-		if len(d.Drop) > 0 {
-			di := 0
-			keep := w.queue[:0]
-			for i, q := range w.queue {
-				if di < len(d.Drop) && d.Drop[di] == i {
-					dropped = append(dropped, q)
-					di++
-					continue
-				}
-				keep = append(keep, q)
-			}
-			w.queue = keep
-			w.syncDepthLocked()
-		}
-		var batch []liveQuery
-		var wait time.Duration
-		switch d.Action {
-		case batching.Execute:
-			b := d.BatchSize
-			if b > len(w.queue) {
-				b = len(w.queue)
-			}
-			batch = make([]liveQuery, b)
-			copy(batch, w.queue[:b])
-			w.queue = append(w.queue[:0], w.queue[b:]...)
-			w.syncDepthLocked()
-		case batching.Wait:
-			// The simulator can cut waits to the exact T_max_wait edge; on
-			// wall clocks, scheduler jitter would turn that into misses, so
-			// the live worker wakes a few milliseconds early.
-			const jitterMargin = 5 * time.Millisecond
-			wait = d.WakeAt - jitterMargin - now
 		}
 		w.mu.Unlock()
 
-		for _, q := range dropped {
-			w.sys.recordDrop(q, telemetry.CausePolicyDrop)
+		for _, q := range done {
+			w.sys.recordCompletion(now, q, ran, w.id, batchID)
 		}
-		switch d.Action {
-		case batching.Execute:
-			if len(batch) > 0 {
-				w.executeBatch(hosted, batch)
+		next := forever
+		if running {
+			next = until
+		}
+		tc := &w.sys.tc
+		for i := range acts {
+			a := &acts[i]
+			switch a.Kind {
+			case device.Drop:
+				if a.Cause == telemetry.CausePolicyDrop {
+					tc.BatchDrops.Inc()
+				}
+				w.sys.recordDrop(a.Query, a.Cause)
+			case device.Idle:
+				tc.BatchIdles.Inc()
+			case device.Wait:
+				tc.BatchWaits.Inc()
+				next = a.At - w.sys.clk.margin()
+			case device.Load:
+				next = a.At
+			case device.Loaded:
+				w.sys.rebuildTable()
+			case device.Run:
+				tc.BatchExecutes.Inc()
+				batchID = w.start(now, a.Batch)
+				next = a.At
 			}
-		case batching.Wait:
-			w.sleepInterruptible(wait)
-		case batching.Idle:
-			w.idleWait()
 		}
+		w.sys.clk.sleep(next, w.notify, w.stopc)
 	}
 }
 
-// idleWait blocks until an arrival, a model swap, or shutdown.
-func (w *liveWorker) idleWait() {
-	select {
-	case <-w.notify:
-	case <-w.stopc:
-	}
-}
-
-// executeBatch simulates hardware execution: sleep for the profiled batch
-// latency (with noise), then complete every query.
-func (w *liveWorker) executeBatch(hosted allocator.VariantRef, batch []liveQuery) {
+// start records a batch the model began executing and returns its trace
+// identity.
+func (w *liveWorker) start(now time.Duration, batch []liveQuery) int {
 	batchID := int(w.sys.nextBatch.Add(1) - 1)
 	w.sys.tc.Batches.Inc()
 	w.sys.tc.BatchQueries.Add(int64(len(batch)))
-	formed := w.sys.now()
-	for i := range batch {
-		// Formation and execution start coincide here (the executor starts
-		// immediately), so batch_form is ~0 by design — matching the
-		// simulator's decomposition.
-		batch[i].formAt = formed
-		batch[i].execAt = formed
-	}
-	if w.sys.tracer != nil {
+	if tr := w.sys.tracer; tr != nil {
 		for _, q := range batch {
-			w.sys.tracer.Record(formed, telemetry.EvBatchFormed, q.id, q.family, w.dev.ID, batchID)
-			w.sys.tracer.Record(formed, telemetry.EvExecStart, q.id, q.family, w.dev.ID, batchID)
+			tr.Record(now, telemetry.EvBatchFormed, q.ID, q.Family, w.id, batchID)
+			tr.Record(now, telemetry.EvExecStart, q.ID, q.Family, w.id, batchID)
 		}
 	}
-	lat := profiles.Latency(w.dev.Spec, hosted.Variant, len(batch))
-	if w.sys.cfg.ExecNoiseFrac > 0 {
-		w.mu.Lock()
-		noise := 1 + w.sys.cfg.ExecNoiseFrac*w.rng.NormFloat64()
-		w.mu.Unlock()
-		lat = time.Duration(math.Max(0, float64(lat)*noise))
-	}
-	time.Sleep(lat)
-	w.mu.Lock()
-	w.busyAccum += lat
-	w.lastBatch = len(batch)
-	died := w.down
-	w.mu.Unlock()
-	if died {
-		// The device failed mid-execution: results are lost, re-dispatch.
-		for _, q := range batch {
-			w.sys.redispatch(q, telemetry.CauseMidflight)
-		}
-		return
-	}
-	violations := 0
-	now := w.sys.now()
-	for _, q := range batch {
-		if now > q.deadline {
-			violations++
-		}
-		w.sys.recordCompletion(q, hosted.Variant.ID(), hosted.Variant.Accuracy, w.dev.ID, batchID)
-	}
-	w.policy.Observe(len(batch), violations)
+	return batchID
 }
