@@ -15,7 +15,7 @@
 //
 // -json emits the full attribution report as JSON instead; the output is
 // byte-identical across same-seed runs (the CI attribution smoke diffs it).
-// -query drills into one query id. Exit codes: 0 ok, 1 runtime error,
+// -query drills into one query id (ids count from 0). Exit codes: 0 ok, 1 runtime error,
 // 2 usage error.
 package main
 
@@ -38,22 +38,32 @@ func main() {
 		dumpPath  = flag.String("dump", "", "run dump JSON: joins plan history and trace-drop counts")
 		topK      = flag.Int("k", 10, "number of worst violated queries to print")
 		asJSON    = flag.Bool("json", false, "emit the full attribution report as JSON")
-		queryID   = flag.Uint64("query", 0, "drill into one query id (0 = off)")
+		queryID   = flag.Uint64("query", 0, "drill into one query id")
 		window    = flag.Duration("window", 0, "summary window width (default 10s)")
 	)
 	flag.Parse()
+	// Query 0 is a real query, so drilling in depends on -query being
+	// passed, not on its value.
+	var query *uint64
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "query" {
+			query = queryID
+		}
+	})
 	if *tracePath == "" {
 		fmt.Fprintln(os.Stderr, "proteus-explain: -trace trace.jsonl is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, *tracePath, *dumpPath, *topK, *asJSON, *queryID, *window); err != nil {
+	if err := run(os.Stdout, *tracePath, *dumpPath, *topK, *asJSON, query, *window); err != nil {
 		fmt.Fprintf(os.Stderr, "proteus-explain: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, tracePath, dumpPath string, topK int, asJSON bool, queryID uint64, window time.Duration) error {
+// run explains the trace at tracePath; a non-nil query drills into that
+// query alone.
+func run(w io.Writer, tracePath, dumpPath string, topK int, asJSON bool, query *uint64, window time.Duration) error {
 	f, err := os.Open(tracePath)
 	if err != nil {
 		return err
@@ -79,10 +89,10 @@ func run(w io.Writer, tracePath, dumpPath string, topK int, asJSON bool, queryID
 	}
 	rep := attrib.Analyze(in)
 
-	if queryID != 0 {
-		exp := findQuery(rep, queryID)
+	if query != nil {
+		exp := findQuery(rep, *query)
 		if exp == nil {
-			return fmt.Errorf("query %d not in trace (or unfinished)", queryID)
+			return fmt.Errorf("query %d not in trace (or unfinished)", *query)
 		}
 		if asJSON {
 			return writeJSON(w, exp)

@@ -254,6 +254,7 @@ var DeterministicPackages = []string{
 	"internal/lp",
 	"internal/milp",
 	"internal/flightrec",
+	"internal/lifecycle",
 	"internal/overload",
 	"internal/simulation",
 	"internal/tsdb",

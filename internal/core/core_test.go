@@ -9,6 +9,7 @@ import (
 	"proteus/internal/batching"
 	"proteus/internal/cluster"
 	"proteus/internal/models"
+	"proteus/internal/telemetry"
 	"proteus/internal/trace"
 )
 
@@ -394,8 +395,9 @@ func TestElasticRespectsMaxExtra(t *testing.T) {
 		Allocator: allocator.NewMILP(&allocator.MILPOptions{
 			TimeLimit: 300 * time.Millisecond, RelGap: 0.01,
 		}),
-		Elastic: &ElasticConfig{MaxExtra: 2, ProvisionDelay: 20 * time.Second},
-		Seed:    5,
+		Elastic:   &ElasticConfig{MaxExtra: 2, ProvisionDelay: 20 * time.Second},
+		Telemetry: telemetry.NewRegistry(),
+		Seed:      5,
 	}
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -407,5 +409,9 @@ func TestElasticRespectsMaxExtra(t *testing.T) {
 	}
 	if res.ExtraDevices > 2 {
 		t.Fatalf("provisioned %d devices, cap was 2", res.ExtraDevices)
+	}
+	// Provisioned devices join the fleet up.
+	if up := cfg.Telemetry.Gauge("devices_up").Value(); up != int64(4+res.ExtraDevices) {
+		t.Fatalf("devices_up %d, want %d", up, 4+res.ExtraDevices)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"proteus/internal/allocator"
-	"proteus/internal/device"
 	"proteus/internal/telemetry"
 )
 
@@ -19,10 +18,8 @@ func (s *System) failDevice(d int) {
 	now := s.engine.Now()
 	s.down[d] = true
 	s.controller.SetCluster(s.controller.Cluster().WithHealth(s.down))
-	s.collector.DeviceFailed(now)
-	s.tc.DevicesUp.Set(s.healthyCount())
 	stranded := s.workers[d].fail()
-	s.flight.Trigger(now, "device_failure", s.cfg.Cluster.Device(d).Name, -1, d)
+	s.sink.Fail(now, d, s.cfg.Cluster.Device(d).Name)
 	s.rebuildTable()
 	for _, a := range stranded {
 		s.requeue(now, a.Query, a.Cause)
@@ -41,8 +38,7 @@ func (s *System) recoverDevice(d int) {
 	now := s.engine.Now()
 	s.down[d] = false
 	s.controller.SetCluster(s.controller.Cluster().WithHealth(s.down))
-	s.collector.DeviceRecovered(now)
-	s.tc.DevicesUp.Set(s.healthyCount())
+	s.sink.Recover(now)
 	w := s.workers[d]
 	var ref *allocator.VariantRef
 	if d < len(s.plan.Hosted) {
@@ -54,38 +50,12 @@ func (s *System) recoverDevice(d int) {
 	s.faultRealloc("recovery")
 }
 
-// requeue returns a stranded query to the router: re-dispatched to a
-// surviving replica, or dropped when device.Retry refuses it. cause records
-// why the query was stranded (device failure, stale route, mid-flight loss)
-// on the requeue and retry trace events, so attribution can name the
-// re-route penalty.
+// requeue returns a stranded query to the router, unless the sink's retry
+// decision drops it.
 func (s *System) requeue(now time.Duration, q query, cause telemetry.Cause) {
-	s.collector.Requeued(now, q.Family)
-	s.tc.Requeued.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRequeued, q.ID, q.Family, -1, -1, s.traceCtx(q.Family, cause))
+	if s.sink.Requeue(now, &q, cause) {
+		s.route(now, q)
 	}
-	if drop := device.Retry(&q, now, s.cfg.MaxRetries); drop != telemetry.CauseNone {
-		s.dropQuery(now, q, drop)
-		return
-	}
-	s.collector.Retried(now, q.Family)
-	s.tc.Retried.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRetried, q.ID, q.Family, -1, -1, s.traceCtx(q.Family, cause))
-	}
-	s.route(now, q)
-}
-
-// healthyCount returns how many devices are currently up.
-func (s *System) healthyCount() int64 {
-	n := int64(0)
-	for _, d := range s.down {
-		if !d {
-			n++
-		}
-	}
-	return n
 }
 
 // faultRealloc requests a failure- or recovery-triggered re-allocation. If

@@ -6,7 +6,7 @@ import (
 
 	"proteus/internal/allocator"
 	"proteus/internal/controlplane"
-	"proteus/internal/flightrec"
+	"proteus/internal/lifecycle"
 	"proteus/internal/metrics"
 	"proteus/internal/numeric"
 	"proteus/internal/overload"
@@ -30,29 +30,13 @@ type System struct {
 	plan       *allocator.Allocation
 	stats      *controlplane.Stats
 	controller *controlplane.Controller
-	collector  *metrics.Collector
+	reallocErr error
 
-	nextID      uint64
-	nextBatchID int
-	reallocErr  error
-	// planSeq is the audit-log sequence number of the plan currently in
-	// force (0 until the initial plan applies). Stamped onto trace events
-	// so latency attribution can join queries to control decisions.
-	planSeq int32
-
-	// Telemetry: tracer, counter bundles and the tsdb recorder are
-	// nil-safe, so an uninstrumented run pays only a nil check per event.
-	tracer   *telemetry.Tracer
-	tc       telemetry.SystemCounters
+	// sink reports every query transition and device event; the router
+	// counters and the tsdb recorder's sampling stay with the engine.
+	sink     *lifecycle.Sink
 	rc       telemetry.RouterCounters
 	recorder *tsdb.Recorder
-	flight   *flightrec.Recorder
-	// pendingBurns defers burn-start incident bundles until after the
-	// sampling tick that detected them has refreshed the flight recorder's
-	// rings, so a bundle always includes the burn's own second. Burn
-	// transitions only fire inside Recorder.Sample, which the event loop
-	// runs single-threaded, so no locking is needed.
-	pendingBurns []tsdb.BurnEvent
 
 	// Failure state: down[d] marks device d as failed; pendingFaultRetry
 	// tracks a fault-triggered re-allocation deferred by the cooldown, with
@@ -78,47 +62,31 @@ func NewSystem(cfg Config) (*System, error) {
 		engine: simulation.NewEngine(),
 		rng:    numeric.NewRNG(cfg.Seed),
 		slos:   cfg.SLOs(),
-		tracer: cfg.Tracer,
-		tc:     telemetry.NewSystemCounters(cfg.Telemetry),
 		rc:     telemetry.NewRouterCounters(cfg.Telemetry),
 	}
-	// Ring-wrap evictions surface as trace_dropped_total so truncated
-	// traces are visible to attribution (both arguments are nil-safe).
-	cfg.Tracer.SetDropCounter(cfg.Telemetry.Counter("trace_dropped_total"))
-	s.collector = metrics.NewCollector(cfg.MetricsInterval, cfg.FamilyNames())
 	s.stats = controlplane.NewStats(len(cfg.Families), int(cfg.DemandWindow/time.Second), cfg.BurstFactor)
 	s.controller = controlplane.NewController(
 		cfg.Allocator, cfg.Cluster, cfg.Families, s.slos, cfg.ControlPeriod, cfg.BurstCooldown)
 	s.controller.Instrument(cfg.Telemetry)
 	s.controller.SetHistoryLimit(cfg.PlanHistory)
 	s.recorder = cfg.TSDB
-	s.recorder.Init(len(cfg.Families), s.onBurn)
-	s.flight = cfg.Flight
-	s.flight.Init(flightrec.Sources{
-		Tracer:   cfg.Tracer,
-		Registry: cfg.Telemetry,
-		TSDB:     cfg.TSDB,
-		Plans:    s.controller.History,
-	})
-	if s.flight != nil {
-		// Any plan the primary allocator did not produce is an anomaly worth
-		// a bundle: the fallback chain stepped in or the solve failed.
-		s.controller.SetRecordHook(func(rec controlplane.PlanRecord) {
-			if rec.Stage == "primary" {
-				return
-			}
-			detail := fmt.Sprintf("stage=%s solver=%s", rec.Stage, rec.Solver)
-			if rec.Err != "" {
-				detail += " err=" + rec.Err
-			}
-			s.flight.Trigger(rec.At, "alloc_fallback", detail, -1, -1)
-		})
-	}
 	if cfg.Overload != nil {
 		s.guard = overload.New(*cfg.Overload, len(cfg.Families), cfg.Cluster.Size())
 		s.guard.Instrument(cfg.Telemetry)
 	}
-	s.tc.DevicesUp.Set(int64(cfg.Cluster.Size()))
+	s.sink = lifecycle.New(lifecycle.Config{
+		Families:        cfg.FamilyNames(),
+		MetricsInterval: cfg.MetricsInterval,
+		Devices:         cfg.Cluster.Size(),
+		MaxRetries:      cfg.MaxRetries,
+		Registry:        cfg.Telemetry,
+		Tracer:          cfg.Tracer,
+		TSDB:            cfg.TSDB,
+		Flight:          cfg.Flight,
+		Controller:      s.controller,
+		Guard:           s.guard,
+	})
+	s.recorder.Init(len(cfg.Families), s.onBurn)
 	for _, dev := range cfg.Cluster.Devices() {
 		s.workers = append(s.workers, newWorker(s, dev))
 	}
@@ -196,7 +164,7 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 	if err != nil {
 		return nil, fmt.Errorf("core: initial allocation: %w", err)
 	}
-	s.planSeq = int32(s.controller.LastPlanSeq())
+	s.sink.Plan(0, int32(s.controller.LastPlanSeq()), plan, "initial")
 	s.applyPlan(plan, true)
 
 	for _, a := range arrivals {
@@ -224,10 +192,10 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 	// Flight-recorder ring refreshes normally ride the sampling events
 	// (sampleTSDB ticks the recorder after each sample); without a tsdb
 	// recorder they need their own 1s cadence for counter snapshots.
-	if s.flight != nil && s.recorder.SampleInterval() <= 0 {
+	if s.cfg.Flight != nil && s.recorder.SampleInterval() <= 0 {
 		for at := time.Second; at <= duration; at += time.Second {
 			at := at
-			s.engine.Schedule(at, func() { s.flight.Tick(at) })
+			s.engine.Schedule(at, func() { s.sink.Tick(at) })
 		}
 	}
 
@@ -237,7 +205,7 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 	if s.guard != nil {
 		for at := time.Second; at <= duration; at += time.Second {
 			at := at
-			s.engine.Schedule(at, func() { s.applyOverloadChanges(s.guard.Tick(at)) })
+			s.engine.Schedule(at, func() { s.sink.Overload(s.guard.Tick(at)) })
 		}
 	}
 
@@ -257,14 +225,15 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 		return nil, s.reallocErr
 	}
 
+	c := s.sink.Collector()
 	res := &Result{
-		Collector: s.collector,
-		Summary:   s.collector.Summarize(-1),
+		Collector: c,
+		Summary:   c.Summarize(-1),
 		Plans:     s.controller.History(),
 		Wall:      time.Since(start), //lint:allow determinism reporting-only wall-clock measurement
 	}
 	for q := range s.cfg.Families {
-		res.PerFamily = append(res.PerFamily, s.collector.Summarize(q))
+		res.PerFamily = append(res.PerFamily, c.Summarize(q))
 	}
 	for _, w := range s.workers {
 		res.ModelLoads += w.dev.Loads()
@@ -274,7 +243,7 @@ func (s *System) RunArrivals(arrivals []trace.Arrival, duration time.Duration, i
 }
 
 // Collector exposes the metrics collector (for live inspection in tests).
-func (s *System) Collector() *metrics.Collector { return s.collector }
+func (s *System) Collector() *metrics.Collector { return s.sink.Collector() }
 
 // sampleTSDB snapshots every device into the tsdb recorder.
 func (s *System) sampleTSDB() {
@@ -285,47 +254,14 @@ func (s *System) sampleTSDB() {
 		states[d].SatMilli, states[d].Pressured = s.guard.DeviceSignal(d)
 	}
 	s.recorder.Sample(now, states)
-	// Refresh the flight recorder's rings with this tick's state, then fire
-	// any burn-start bundles the sample just detected so they capture it.
-	if s.flight != nil {
-		s.flight.Tick(now)
-		for _, ev := range s.pendingBurns {
-			s.flight.Trigger(ev.At, "slo_burn",
-				fmt.Sprintf("family=%d short=%.2f long=%.2f", ev.Family, ev.ShortBurn, ev.LongBurn),
-				ev.Family, -1)
-		}
-		s.pendingBurns = s.pendingBurns[:0]
-	}
+	s.sink.Tick(now)
 }
 
-// onBurn receives SLO burn-state transitions from the tsdb recorder: they
-// enter the lifecycle trace and the controller's audit log, and — when
-// enabled — a burn start triggers an early re-allocation. Runs under the
-// recorder's lock, so it must not call back into the recorder.
+// onBurn receives SLO burn-state transitions from the tsdb recorder: the
+// sink publishes them, and — when enabled — a burn start triggers an early
+// re-allocation. Runs under the recorder's lock.
 func (s *System) onBurn(ev tsdb.BurnEvent) {
-	kind := telemetry.EvSLOBurnStart
-	if !ev.Start {
-		kind = telemetry.EvSLOBurnEnd
-	}
-	s.tracer.Record(ev.At, kind, 0, ev.Family, -1, -1)
-	s.controller.NoteBurn(controlplane.SLOBurnRecord{
-		At:        ev.At,
-		Family:    ev.Family,
-		Start:     ev.Start,
-		ShortBurn: ev.ShortBurn,
-		LongBurn:  ev.LongBurn,
-	})
-	// Emergency accuracy degradation reacts to the burn edge immediately —
-	// never waiting for the next control period. The guard's lock is a leaf,
-	// so calling it under the recorder's lock is safe.
-	s.applyOverloadChanges(s.guard.OnBurn(ev.At, ev.Family, ev.Start))
-	// A burn's leading edge snapshots an incident bundle — deferred to just
-	// after the sampling tick completes (sampleTSDB flushes pendingBurns),
-	// both because Trigger must not run under the recorder's lock with a
-	// stale ring and so the bundle includes the burn's own second.
-	if ev.Start && s.flight != nil {
-		s.pendingBurns = append(s.pendingBurns, ev)
-	}
+	s.sink.Burn(ev)
 	if ev.Start && s.cfg.SLOBurnRealloc && s.controller.Dynamic() && s.controller.AllowBurst(ev.At) {
 		s.reallocate("slo_burn")
 	}
@@ -334,18 +270,12 @@ func (s *System) onBurn(ev tsdb.BurnEvent) {
 func (s *System) onArrival(a trace.Arrival) {
 	now := s.engine.Now()
 	s.stats.Observe(now, a.Family)
-	s.collector.Arrival(now, a.Family)
-	s.recorder.Arrival(now, a.Family)
-	q := query{
-		ID:       s.nextID,
+	s.route(now, query{
+		ID:       s.sink.Arrive(now, a.Family),
 		Family:   a.Family,
 		Arrival:  now,
 		Deadline: now + s.slos[a.Family],
-	}
-	s.nextID++
-	s.tc.Arrivals.Inc()
-	s.tracer.Record(now, telemetry.EvArrival, q.ID, q.Family, -1, -1)
-	s.route(now, q)
+	})
 
 	// Burst detection on the data path's monitoring daemon (§3).
 	if s.controller.Dynamic() && s.stats.AnyBurst(now) && s.controller.AllowBurst(now) {
@@ -362,58 +292,18 @@ func (s *System) route(now time.Duration, q query) {
 		if d >= 0 && !s.guard.Admit(now, d, q.Deadline) {
 			// Shed-on-arrival: the query provably cannot meet its deadline
 			// behind d's backlog, so executing it would only waste capacity.
-			s.dropQuery(now, q, telemetry.CauseShedAdmission)
+			s.sink.Drop(now, &q, telemetry.CauseShedAdmission)
 			return
 		}
 	} else {
 		d = s.table.Pick(q.Family, s.rng)
 	}
 	if d < 0 {
-		s.dropQuery(now, q, telemetry.CauseNoRoute)
+		s.sink.Drop(now, &q, telemetry.CauseNoRoute)
 		return
 	}
-	s.tracer.Record(now, telemetry.EvRoute, q.ID, q.Family, d, -1)
+	s.sink.Route(now, &q, d)
 	s.workers[d].enqueue(q)
-}
-
-// traceCtx assembles the causal context stamped onto trace events: the plan
-// in force, the family's active degradation episode, and the event's cause.
-// Call only when the tracer is non-nil — the guard lookup is not free.
-func (s *System) traceCtx(family int, cause telemetry.Cause) telemetry.Ctx {
-	ctx := telemetry.Ctx{Plan: s.planSeq, Cause: cause}
-	if s.guard != nil {
-		ctx.Episode = int32(s.guard.EpisodeID(family))
-	}
-	return ctx
-}
-
-// applyOverloadChanges publishes the guard's degradation-ladder transitions:
-// tracer events (degrade_start carries the new level in the batch field) and
-// decision-audit records attached to the next PlanRecord.
-func (s *System) applyOverloadChanges(changes []overload.Change) {
-	for _, ch := range changes {
-		kind := telemetry.EvDegradeStart
-		if ch.Kind == overload.Restore {
-			kind = telemetry.EvDegradeEnd
-		}
-		s.tracer.RecordCtx(ch.At, kind, 0, ch.Family, -1, ch.Level,
-			telemetry.Ctx{Plan: s.planSeq, Episode: int32(ch.Episode)})
-		s.controller.NoteOverload(controlplane.OverloadRecord{
-			At:      ch.At,
-			Family:  ch.Family,
-			Kind:    string(ch.Kind),
-			Level:   ch.Level,
-			Episode: ch.Episode,
-			Reason:  ch.Reason,
-		})
-		// A degradation opening is the overload incident's leading edge;
-		// escalations and restores are just episode progress.
-		if ch.Kind == overload.Degrade {
-			s.flight.Trigger(ch.At, "overload",
-				fmt.Sprintf("family=%d level=%d reason=%s", ch.Family, ch.Level, ch.Reason),
-				ch.Family, -1)
-		}
-	}
 }
 
 func (s *System) reallocate(trigger string) {
@@ -450,12 +340,8 @@ func (s *System) reallocate(trigger string) {
 	// The plan takes effect after the control-path delay (§4: the solver is
 	// off the critical path, so serving continues meanwhile).
 	s.engine.After(s.cfg.PlanApplyDelay, func() {
-		s.planSeq = seq
+		s.sink.Plan(s.engine.Now(), seq, plan, trigger)
 		s.applyPlan(plan, false)
-		if trigger == "failure" {
-			// The surviving-device plan is live: failures are handled.
-			s.collector.FailureHandled(s.engine.Now())
-		}
 	})
 
 	// Hardware scaling in tandem (§7): a plan that sheds demand means even
@@ -479,6 +365,7 @@ func (s *System) provisionDevice() {
 	dev := grown.Device(grown.Size() - 1)
 	s.workers = append(s.workers, newWorker(s, dev))
 	s.down = append(s.down, false)
+	s.sink.Provision()
 	s.reallocate("provision")
 }
 
@@ -489,7 +376,6 @@ func (s *System) provisionDevice() {
 func (s *System) applyPlan(plan *allocator.Allocation, initial bool) {
 	now := s.engine.Now()
 	s.plan = plan
-	s.tc.DemandScaleMilli.Set(int64(plan.DemandScale * 1000))
 	if err := s.stats.SetPlanned(plan.ServedQPS); err != nil {
 		// Plans come from our own controller so the shapes always agree;
 		// surface any disagreement as a run error rather than panicking.
@@ -590,44 +476,4 @@ func (s *System) syncGuardPlan(now time.Duration) {
 		profs[d] = w.dev.GuardProfile()
 	}
 	s.guard.SetPlan(now, profs)
-}
-
-func (s *System) dropQuery(now time.Duration, q query, cause telemetry.Cause) {
-	s.collector.Dropped(now, q.Family)
-	s.recorder.Violation(now, q.Family)
-	s.tc.Dropped.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvDropped, q.ID, q.Family, -1, -1, s.traceCtx(q.Family, cause))
-	}
-}
-
-func (s *System) serveQuery(now time.Duration, q query, accuracy float64, device, batch int) {
-	s.collector.Served(now, q.Family, accuracy, now-q.Arrival)
-	s.tc.Served.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvDone, q.ID, q.Family, device, batch, s.traceCtx(q.Family, telemetry.CauseNone))
-	}
-	s.recordPhases(now, q, device)
-}
-
-func (s *System) lateQuery(now time.Duration, q query, device, batch int) {
-	s.collector.Late(now, q.Family, now-q.Arrival)
-	s.recorder.Violation(now, q.Family)
-	s.tc.Late.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvLate, q.ID, q.Family, device, batch, s.traceCtx(q.Family, telemetry.CauseNone))
-	}
-	s.recordPhases(now, q, device)
-}
-
-// recordPhases differences the query's lifecycle timestamps into per-phase
-// durations for the tsdb decomposition histograms. Response stays zero on
-// the virtual clock: completion and response delivery coincide.
-func (s *System) recordPhases(done time.Duration, q query, device int) {
-	s.recorder.RecordPhases(q.Family, device, tsdb.PhaseDurations{
-		Admission: q.EnqueueAt - q.Arrival,
-		Queue:     q.FormAt - q.EnqueueAt,
-		BatchForm: q.ExecAt - q.FormAt,
-		Exec:      done - q.ExecAt,
-	})
 }

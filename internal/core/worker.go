@@ -72,7 +72,7 @@ func (w *worker) afterHosting(ref *allocator.VariantRef) {
 	w.syncDepth()
 	w.cancelWake()
 	if ref != nil {
-		w.sys.tc.ModelLoads.Inc()
+		w.sys.sink.ModelLoad()
 	}
 }
 
@@ -84,12 +84,7 @@ func (w *worker) enqueue(q query) {
 		w.sys.requeue(now, q, telemetry.CauseStaleRoute)
 		return
 	}
-	if tr := w.sys.tracer; tr != nil {
-		// The enqueue event carries the plan and overload episode in force,
-		// anchoring the attribution engine's causal joins.
-		tr.RecordCtx(now, telemetry.EvEnqueue, q.ID, q.Family, w.dev.ID(), -1,
-			w.sys.traceCtx(q.Family, telemetry.CauseNone))
-	}
+	w.sys.sink.Enqueue(now, &q, w.dev.ID())
 	w.syncDepth()
 	w.evaluate()
 }
@@ -102,45 +97,26 @@ func (w *worker) evaluate() {
 	w.acts = w.dev.Evaluate(now, w.acts[:0])
 	w.syncDepth()
 	w.cancelWake()
-	tc := &w.sys.tc
+	sink := w.sys.sink
 	for i := range w.acts {
 		a := &w.acts[i]
 		switch a.Kind {
 		case device.Drop:
-			if a.Cause == telemetry.CausePolicyDrop {
-				tc.BatchDrops.Inc()
-			}
-			w.sys.dropQuery(now, a.Query, a.Cause)
+			sink.Drop(now, &a.Query, a.Cause)
 		case device.Idle:
-			tc.BatchIdles.Inc()
+			sink.Idle()
 		case device.Wait:
-			tc.BatchWaits.Inc()
+			sink.Wait()
 			w.wake = w.sys.engine.Schedule(a.At, w.onWake)
 		case device.Load:
 			w.wake = w.sys.engine.Schedule(a.At, w.onWake)
 		case device.Run:
-			tc.BatchExecutes.Inc()
-			w.start(now, a)
+			w.batchID = sink.Start(now, a.Batch, w.dev.ID())
+			w.done = w.sys.engine.Schedule(a.At, w.onDone)
 		}
 		// Loaded needs nothing: the engine's own load-complete event
 		// re-admits the device to routing.
 	}
-}
-
-// start records a batch the model began executing and schedules its
-// completion.
-func (w *worker) start(now time.Duration, a *device.Action) {
-	w.batchID = w.sys.nextBatchID
-	w.sys.nextBatchID++
-	w.sys.tc.Batches.Inc()
-	w.sys.tc.BatchQueries.Add(int64(len(a.Batch)))
-	if tr := w.sys.tracer; tr != nil {
-		for _, q := range a.Batch {
-			tr.Record(now, telemetry.EvBatchFormed, q.ID, q.Family, w.dev.ID(), w.batchID)
-			tr.Record(now, telemetry.EvExecStart, q.ID, q.Family, w.dev.ID(), w.batchID)
-		}
-	}
-	w.done = w.sys.engine.Schedule(a.At, w.onDone)
 }
 
 // complete finishes the in-flight batch and re-evaluates.
@@ -148,12 +124,8 @@ func (w *worker) complete() {
 	now := w.sys.engine.Now()
 	w.done = nil
 	batch, v := w.dev.Complete(now)
-	for _, q := range batch {
-		if now <= q.Deadline {
-			w.sys.serveQuery(now, q, v.Accuracy, w.dev.ID(), w.batchID)
-		} else {
-			w.sys.lateQuery(now, q, w.dev.ID(), w.batchID)
-		}
+	for i := range batch {
+		w.sys.sink.Finish(now, &batch[i], v.Accuracy, w.dev.ID(), w.batchID)
 	}
 	w.evaluate()
 }

@@ -18,6 +18,7 @@ func harness(t *testing.T, policy batching.Policy) (*System, *worker) {
 	t.Helper()
 	cfg := smallConfig(t)
 	cfg.Batching = func() batching.Policy { return policy }
+	cfg.Telemetry = telemetry.NewRegistry()
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +37,7 @@ func TestWorkerQueueExpiryDropsDoomedQueries(t *testing.T) {
 		w.enqueue(query{ID: 1, Family: 0, Arrival: 0, Deadline: time.Millisecond})
 	})
 	sys.engine.Run()
-	sum := sys.collector.Summarize(-1)
+	sum := sys.Collector().Summarize(-1)
 	if sum.Dropped != 1 {
 		t.Fatalf("doomed query not dropped: %+v", sum)
 	}
@@ -59,11 +60,11 @@ func TestWorkerExecutesAndObservesBatch(t *testing.T) {
 		}
 	})
 	sys.engine.Run()
-	sum := sys.collector.Summarize(-1)
+	sum := sys.Collector().Summarize(-1)
 	if sum.Served+sum.Late != 3 {
 		t.Fatalf("batch incomplete: %+v", sum)
 	}
-	if sys.nextBatchID == 0 {
+	if sys.cfg.Telemetry.Counter("batches_executed_total").Value() == 0 {
 		t.Fatal("no batches recorded")
 	}
 }
@@ -108,7 +109,7 @@ func TestWorkerWithoutModelShedsEverything(t *testing.T) {
 		w.enqueue(query{ID: 1, Family: 0, Arrival: 0, Deadline: time.Second})
 	})
 	sys.engine.Run()
-	if sum := sys.collector.Summarize(-1); sum.Dropped != 1 {
+	if sum := sys.Collector().Summarize(-1); sum.Dropped != 1 {
 		t.Fatalf("idle-device query not shed: %+v", sum)
 	}
 }
@@ -123,7 +124,7 @@ func TestWorkerLoadingDelaysExecution(t *testing.T) {
 		w.enqueue(query{ID: 1, Family: 0, Arrival: 0, Deadline: deadline})
 	})
 	sys.engine.Run()
-	sum := sys.collector.Summarize(-1)
+	sum := sys.Collector().Summarize(-1)
 	if sum.Served != 1 {
 		t.Fatalf("query not served after load: %+v", sum)
 	}

@@ -181,10 +181,19 @@ func fates(tr *telemetry.Tracer) map[uint64]fate {
 	return out
 }
 
+// lifecycleCounters are the counters and gauges the lifecycle sink keeps;
+// both engines must end a run with the same values.
+var lifecycleCounters = []string{
+	"queries_arrived_total", "queries_served_total", "queries_late_total",
+	"queries_dropped_total", "queries_requeued_total", "queries_retried_total",
+	"batches_executed_total", "batch_queries_total", "model_loads_total", "devices_up",
+}
+
 // TestSimAndLiveAgree feeds one arrival sequence through the simulator and
 // through the live goroutine workers on a fake clock, and requires identical
-// per-query fates. The sequence covers a doomed query, a policy drop, a
-// device failure in the middle of a batch, a recovery and its model load.
+// per-query fates, lifecycle counters and metrics summaries. The sequence
+// covers a doomed query, a policy drop, a device failure in the middle of a
+// batch, a recovery and its model load.
 func TestSimAndLiveAgree(t *testing.T) {
 	var fam models.Family
 	for _, f := range models.Zoo() {
@@ -223,38 +232,43 @@ func TestSimAndLiveAgree(t *testing.T) {
 	faults := []cluster.FailureEvent{{Device: 0, FailAt: failAt, RecoverAt: recoverAt}}
 
 	// The simulator.
-	simTrace := telemetry.NewTracer(1 << 12)
+	simTrace, simReg := telemetry.NewTracer(1<<12), telemetry.NewRegistry()
 	sys, err := core.NewSystem(core.Config{
-		Cluster:        newCluster(),
-		Families:       []models.Family{fam},
-		Allocator:      fixedAlloc{v},
-		Batching:       policy,
-		ModelLoadDelay: loadDelay,
-		Faults:         &cluster.FailureSchedule{Events: faults},
-		Tracer:         simTrace,
-		Seed:           11,
+		Cluster:         newCluster(),
+		Families:        []models.Family{fam},
+		Allocator:       fixedAlloc{v},
+		Batching:        policy,
+		ModelLoadDelay:  loadDelay,
+		MetricsInterval: time.Second,
+		Faults:          &cluster.FailureSchedule{Events: faults},
+		Tracer:          simTrace,
+		Telemetry:       simReg,
+		Seed:            11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunArrivals(arrivals, recoverAt+2*time.Second, []float64{0}); err != nil {
+	simRes, err := sys.RunArrivals(arrivals, recoverAt+2*time.Second, []float64{0})
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The live server, stepped event by event on the fake clock. Script
 	// events at a time go before the workers' wake-ups at that time, as the
 	// simulator orders its pre-scheduled arrivals and faults first.
-	liveTrace := telemetry.NewTracer(1 << 12)
+	liveTrace, liveReg := telemetry.NewTracer(1<<12), telemetry.NewRegistry()
 	clk := &fakeClock{}
 	s, err := newServer(Config{
-		Cluster:        newCluster(),
-		Families:       []models.Family{fam},
-		Allocator:      fixedAlloc{v},
-		Batching:       policy,
-		ModelLoadDelay: loadDelay,
-		ExecNoiseFrac:  -1,
-		Tracer:         liveTrace,
-		Seed:           11,
+		Cluster:         newCluster(),
+		Families:        []models.Family{fam},
+		Allocator:       fixedAlloc{v},
+		Batching:        policy,
+		ModelLoadDelay:  loadDelay,
+		ExecNoiseFrac:   -1,
+		MetricsInterval: time.Second,
+		Tracer:          liveTrace,
+		Telemetry:       liveReg,
+		Seed:            11,
 	}, clk)
 	if err != nil {
 		t.Fatal(err)
@@ -307,6 +321,17 @@ func TestSimAndLiveAgree(t *testing.T) {
 		}
 	}
 
+	// The same vocabulary: identical counters and summaries.
+	for _, name := range lifecycleCounters {
+		sv, lv := metricValue(simReg, name), metricValue(liveReg, name)
+		if sv != lv {
+			t.Errorf("%s: sim %d, live %d", name, sv, lv)
+		}
+	}
+	if live := s.Summary(); live != simRes.Summary {
+		t.Errorf("summaries differ:\n  sim  %+v\n  live %+v", simRes.Summary, live)
+	}
+
 	// The sequence must exercise every transition it claims to.
 	seen := make(map[string]bool)
 	for _, ev := range simTrace.Events() {
@@ -324,4 +349,15 @@ func TestSimAndLiveAgree(t *testing.T) {
 			t.Errorf("scenario never reached %s (saw %v)", want, seen)
 		}
 	}
+}
+
+// metricValue reads one counter or gauge from a registry snapshot (-1 when
+// the registry does not hold it).
+func metricValue(r *telemetry.Registry, name string) int64 {
+	for _, m := range r.Snapshot() {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return -1
 }

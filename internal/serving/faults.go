@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"proteus/internal/allocator"
-	"proteus/internal/device"
 	"proteus/internal/telemetry"
 )
 
@@ -58,17 +57,9 @@ func (s *Server) failDevice(d int) {
 		return
 	}
 	s.down[d] = true
-	s.collector.DeviceFailed(now)
-	up := int64(0)
-	for _, dn := range s.down {
-		if !dn {
-			up++
-		}
-	}
 	s.mu.Unlock()
-	s.tc.DevicesUp.Set(up)
 	stranded := s.workers[d].fail()
-	s.flight.Trigger(now, "device_failure", s.cfg.Cluster.Device(d).Name, -1, d)
+	s.sink.Fail(now, d, s.cfg.Cluster.Device(d).Name)
 	s.rebuildTable()
 	for _, a := range stranded {
 		s.redispatch(a.Query, a.Cause)
@@ -90,51 +81,23 @@ func (s *Server) recoverDevice(d int) {
 		return
 	}
 	s.down[d] = false
-	s.collector.DeviceRecovered(now)
-	up := int64(0)
-	for _, dn := range s.down {
-		if !dn {
-			up++
-		}
-	}
 	var ref *allocator.VariantRef
 	if d < len(s.plan.Hosted) {
 		ref = s.plan.Hosted[d]
 	}
 	s.mu.Unlock()
-	s.tc.DevicesUp.Set(up)
+	s.sink.Recover(now)
 	s.workers[d].recover(ref, s.cfg.ModelLoadDelay)
 	s.rebuildTable()
 	s.requestRealloc("recovery")
 }
 
-// redispatch returns a stranded query to the router: re-routed to a
-// surviving replica, or dropped when device.Retry refuses it. cause records
-// why the query was stranded (device failure, stale route, mid-flight loss)
-// on the requeue and retry trace events, so attribution can name the
-// penalty.
+// redispatch returns a stranded query to the router, unless the sink's
+// retry decision drops it.
 func (s *Server) redispatch(q liveQuery, cause telemetry.Cause) {
-	now := s.now()
-	s.tc.Requeued.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRequeued, q.ID, q.Family, -1, -1,
-			s.traceCtx(q.Family, cause))
+	if s.sink.Requeue(s.now(), &q, cause) {
+		s.dispatch(q)
+	} else {
+		s.dropped(q)
 	}
-	s.mu.Lock()
-	s.collector.Requeued(now, q.Family)
-	drop := device.Retry(&q, now, s.cfg.MaxRetries)
-	if drop == telemetry.CauseNone {
-		s.collector.Retried(now, q.Family)
-	}
-	s.mu.Unlock()
-	if drop != telemetry.CauseNone {
-		s.recordDrop(q, drop)
-		return
-	}
-	s.tc.Retried.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvRetried, q.ID, q.Family, -1, -1,
-			s.traceCtx(q.Family, cause))
-	}
-	s.dispatch(q)
 }

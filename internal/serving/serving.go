@@ -31,6 +31,7 @@ import (
 	"proteus/internal/cluster"
 	"proteus/internal/controlplane"
 	"proteus/internal/flightrec"
+	"proteus/internal/lifecycle"
 	"proteus/internal/metrics"
 	"proteus/internal/models"
 	"proteus/internal/numeric"
@@ -173,14 +174,13 @@ type Server struct {
 	slos []time.Duration
 	clk  clock
 
-	mu        sync.Mutex
-	rng       *numeric.RNG
-	table     *router.Table
-	guard     *overload.Guard
-	plan      *allocator.Allocation
-	stats     *controlplane.Stats
-	collector *metrics.Collector
-	byName    map[string]int
+	mu     sync.Mutex
+	rng    *numeric.RNG
+	table  *router.Table
+	guard  *overload.Guard
+	plan   *allocator.Allocation
+	stats  *controlplane.Stats
+	byName map[string]int
 	// down[d] marks device d as failed (guarded by mu).
 	down []bool
 
@@ -193,26 +193,16 @@ type Server struct {
 	// control loop, keeping the controller single-goroutine.
 	reallocc chan string
 
-	// Telemetry: the registry backs /metrics; the tracer (possibly nil) and
-	// counter bundles instrument the data path. nextID/nextBatch assign
-	// trace identities without taking mu.
+	// sink reports every query transition and device event, under its own
+	// leaf lock. The registry, tracer and flight recorder back the HTTP
+	// endpoints; the recorder is sampled off a ticker; the router counters
+	// instrument the routing table.
+	sink     *lifecycle.Sink
 	registry *telemetry.Registry
 	tracer   *telemetry.Tracer
 	recorder *tsdb.Recorder
 	flight   *flightrec.Recorder
-	// pendingBurns defers burn-start incident bundles until the sampling
-	// tick that detected them refreshes the flight recorder. Only touched
-	// on the sampleLoop goroutine (burn transitions fire inside
-	// Recorder.Sample), so it needs no lock.
-	pendingBurns []tsdb.BurnEvent
-	tc           telemetry.SystemCounters
-	rc           telemetry.RouterCounters
-	nextID       atomic.Uint64
-	nextBatch    atomic.Int64
-	// planSeq is the audit-log sequence number of the plan currently in
-	// force, stamped onto trace events for latency attribution. Written on
-	// the control loop, read from data-path goroutines, hence atomic.
-	planSeq atomic.Int32
+	rc       telemetry.RouterCounters
 
 	// draining refuses new queries while in-flight ones (counted by
 	// inflight) finish — the graceful-shutdown half of overload protection.
@@ -246,7 +236,6 @@ func newServer(cfg Config, clk clock) (*Server, error) {
 		reallocc: make(chan string, 8),
 		registry: cfg.Telemetry,
 		tracer:   cfg.Tracer,
-		tc:       telemetry.NewSystemCounters(cfg.Telemetry),
 		rc:       telemetry.NewRouterCounters(cfg.Telemetry),
 		stop:     make(chan struct{}),
 	}
@@ -254,44 +243,30 @@ func newServer(cfg Config, clk clock) (*Server, error) {
 		s.byName[f.Name] = q
 		s.slos = append(s.slos, profiles.FamilySLO(f, cfg.SLOMultiplier))
 	}
-	// Ring-wrap evictions surface as trace_dropped_total so truncated
-	// traces are visible to attribution (both arguments are nil-safe).
-	cfg.Tracer.SetDropCounter(cfg.Telemetry.Counter("trace_dropped_total"))
-	s.collector = metrics.NewCollector(cfg.MetricsInterval, models.FamilyNames(cfg.Families))
 	s.stats = controlplane.NewStats(len(cfg.Families), int(cfg.ControlPeriod/time.Second), 1.5)
 	s.controller = controlplane.NewController(
 		cfg.Allocator, cfg.Cluster, cfg.Families, s.slos, cfg.ControlPeriod, cfg.ControlPeriod/3)
 	s.controller.Instrument(cfg.Telemetry)
 	s.controller.SetHistoryLimit(cfg.PlanHistory)
 	s.recorder = cfg.TSDB
-	s.recorder.Init(len(cfg.Families), s.onBurn)
 	s.flight = cfg.Flight
-	s.flight.Init(flightrec.Sources{
-		Tracer:   cfg.Tracer,
-		Registry: cfg.Telemetry,
-		TSDB:     cfg.TSDB,
-		Plans:    s.controller.History,
-	})
-	if s.flight != nil {
-		// Any plan the primary allocator did not produce is an anomaly worth
-		// a bundle: the fallback chain stepped in or the solve failed. The
-		// hook runs on the control loop after the history lock is released.
-		s.controller.SetRecordHook(func(rec controlplane.PlanRecord) {
-			if rec.Stage == "primary" {
-				return
-			}
-			detail := fmt.Sprintf("stage=%s solver=%s", rec.Stage, rec.Solver)
-			if rec.Err != "" {
-				detail += " err=" + rec.Err
-			}
-			s.flight.Trigger(rec.At, "alloc_fallback", detail, -1, -1)
-		})
-	}
 	if cfg.Overload != nil {
 		s.guard = overload.New(*cfg.Overload, len(cfg.Families), cfg.Cluster.Size())
 		s.guard.Instrument(cfg.Telemetry)
 	}
-	s.tc.DevicesUp.Set(int64(cfg.Cluster.Size()))
+	s.sink = lifecycle.New(lifecycle.Config{
+		Families:        models.FamilyNames(cfg.Families),
+		MetricsInterval: cfg.MetricsInterval,
+		Devices:         cfg.Cluster.Size(),
+		MaxRetries:      cfg.MaxRetries,
+		Registry:        cfg.Telemetry,
+		Tracer:          cfg.Tracer,
+		TSDB:            cfg.TSDB,
+		Flight:          cfg.Flight,
+		Controller:      s.controller,
+		Guard:           s.guard,
+	})
+	s.recorder.Init(len(cfg.Families), s.onBurn)
 
 	for _, dev := range cfg.Cluster.Devices() {
 		w := newLiveWorker(s, dev, cfg.Batching())
@@ -308,7 +283,7 @@ func newServer(cfg Config, clk clock) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serving: initial allocation: %w", err)
 	}
-	s.planSeq.Store(int32(s.controller.LastPlanSeq()))
+	s.sink.Plan(0, int32(s.controller.LastPlanSeq()), plan, "initial")
 	s.applyPlan(plan, true)
 
 	for _, w := range s.workers {
@@ -413,48 +388,17 @@ func (s *Server) sampleLoop() {
 				}
 				s.recorder.Sample(now, states)
 			}
-			s.flight.Tick(now)
-			// Fire burn-start bundles the sample just detected, now that the
-			// tick has pulled the burn's own second into the rings.
-			for _, ev := range s.pendingBurns {
-				s.flight.Trigger(ev.At, "slo_burn",
-					fmt.Sprintf("family=%d short=%.2f long=%.2f", ev.Family, ev.ShortBurn, ev.LongBurn),
-					ev.Family, -1)
-			}
-			s.pendingBurns = s.pendingBurns[:0]
+			s.sink.Tick(now)
 		}
 	}
 }
 
-// onBurn receives SLO burn-state transitions from the tsdb recorder: they
-// enter the lifecycle trace and the controller's audit log, and — when
-// enabled — a burn start nudges the control loop. Runs under the recorder's
-// lock, so it must not call back into the recorder; requestRealloc is a
-// non-blocking channel send.
+// onBurn receives SLO burn-state transitions from the tsdb recorder: the
+// sink publishes them, and — when enabled — a burn start nudges the control
+// loop. Runs under the recorder's lock; requestRealloc is a non-blocking
+// channel send.
 func (s *Server) onBurn(ev tsdb.BurnEvent) {
-	kind := telemetry.EvSLOBurnStart
-	if !ev.Start {
-		kind = telemetry.EvSLOBurnEnd
-	}
-	s.tracer.Record(ev.At, kind, 0, ev.Family, -1, -1)
-	s.controller.NoteBurn(controlplane.SLOBurnRecord{
-		At:        ev.At,
-		Family:    ev.Family,
-		Start:     ev.Start,
-		ShortBurn: ev.ShortBurn,
-		LongBurn:  ev.LongBurn,
-	})
-	// Emergency accuracy degradation reacts to the burn edge immediately —
-	// never waiting for the next control period. The guard's lock is a leaf,
-	// so calling it under the recorder's lock is safe.
-	s.applyOverloadChanges(s.guard.OnBurn(ev.At, ev.Family, ev.Start))
-	// A burn's leading edge snapshots an incident bundle — deferred until
-	// the sampling tick that detected it has refreshed the flight
-	// recorder's rings (burn transitions only fire inside Recorder.Sample,
-	// so this always runs on the sampleLoop goroutine).
-	if ev.Start && s.flight != nil {
-		s.pendingBurns = append(s.pendingBurns, ev)
-	}
+	s.sink.Burn(ev)
 	if ev.Start && s.cfg.SLOBurnRealloc {
 		s.requestRealloc("slo_burn")
 	}
@@ -472,36 +416,7 @@ func (s *Server) overloadLoop() {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			s.applyOverloadChanges(s.guard.Tick(s.now()))
-		}
-	}
-}
-
-// applyOverloadChanges publishes the guard's degradation-ladder transitions:
-// tracer events (degrade_start carries the new level in the batch field) and
-// decision-audit records attached to the next PlanRecord.
-func (s *Server) applyOverloadChanges(changes []overload.Change) {
-	for _, ch := range changes {
-		kind := telemetry.EvDegradeStart
-		if ch.Kind == overload.Restore {
-			kind = telemetry.EvDegradeEnd
-		}
-		s.tracer.RecordCtx(ch.At, kind, 0, ch.Family, -1, ch.Level,
-			telemetry.Ctx{Plan: s.planSeq.Load(), Episode: int32(ch.Episode)})
-		s.controller.NoteOverload(controlplane.OverloadRecord{
-			At:      ch.At,
-			Family:  ch.Family,
-			Kind:    string(ch.Kind),
-			Level:   ch.Level,
-			Episode: ch.Episode,
-			Reason:  ch.Reason,
-		})
-		// A degradation opening is the overload incident's leading edge;
-		// escalations and restores are just episode progress.
-		if ch.Kind == overload.Degrade {
-			s.flight.Trigger(ch.At, "overload",
-				fmt.Sprintf("family=%d level=%d reason=%s", ch.Family, ch.Level, ch.Reason),
-				ch.Family, -1)
+			s.sink.Overload(s.guard.Tick(s.now()))
 		}
 	}
 }
@@ -546,18 +461,12 @@ func (s *Server) maybeReallocate(trigger string) {
 	if err != nil {
 		return // keep serving on the old plan
 	}
-	s.planSeq.Store(int32(s.controller.LastPlanSeq()))
+	s.sink.Plan(s.now(), int32(s.controller.LastPlanSeq()), plan, trigger)
 	s.applyPlan(plan, false)
-	if trigger == "failure" {
-		s.mu.Lock()
-		s.collector.FailureHandled(s.now())
-		s.mu.Unlock()
-	}
 }
 
 // applyPlan installs a new allocation on the live workers.
 func (s *Server) applyPlan(plan *allocator.Allocation, initial bool) {
-	s.tc.DemandScaleMilli.Set(int64(plan.DemandScale * 1000))
 	s.mu.Lock()
 	s.plan = plan
 	// Plans are produced for this server's own family set, so the shapes
@@ -662,17 +571,6 @@ func (s *Server) pickDevice(now time.Duration, q liveQuery) (int, telemetry.Caus
 	return d, telemetry.CauseNone
 }
 
-// traceCtx assembles the causal context stamped onto trace events: the plan
-// in force, the family's active degradation episode, and the event's cause.
-// Call only when the tracer is non-nil — the guard lookup is not free.
-func (s *Server) traceCtx(family int, cause telemetry.Cause) telemetry.Ctx {
-	ctx := telemetry.Ctx{Plan: s.planSeq.Load(), Cause: cause}
-	if s.guard != nil {
-		ctx.Episode = int32(s.guard.EpisodeID(family))
-	}
-	return ctx
-}
-
 // Infer serves one query synchronously: routed, queued, batched, executed.
 func (s *Server) Infer(family string) Response {
 	f, ok := s.byName[family]
@@ -687,18 +585,12 @@ func (s *Server) Infer(family string) Response {
 // arrive admits one query of family f; its response arrives on done.
 func (s *Server) arrive(f int, done chan Response) {
 	now := s.now()
-	id := s.nextID.Add(1) - 1
 	s.inflight.Add(1)
-	s.tc.Arrivals.Inc()
-	s.tracer.Record(now, telemetry.EvArrival, id, f, -1, -1)
-	s.recorder.Arrival(now, f)
 	s.mu.Lock()
 	s.stats.Observe(now, f)
-	s.collector.Arrival(now, f)
 	s.mu.Unlock()
-
 	q := liveQuery{
-		ID:       id,
+		ID:       s.sink.Arrive(now, f),
 		Family:   f,
 		Arrival:  now,
 		Deadline: now + s.slos[f],
@@ -707,7 +599,7 @@ func (s *Server) arrive(f int, done chan Response) {
 	if s.draining.Load() {
 		// Graceful drain: refuse new work immediately; in-flight batches
 		// keep executing.
-		s.recordDrop(q, telemetry.CauseDraining)
+		s.drop(q, telemetry.CauseDraining)
 		return
 	}
 	s.dispatch(q)
@@ -717,85 +609,53 @@ func (s *Server) dispatch(q liveQuery) {
 	now := s.now()
 	d, cause := s.pickDevice(now, q)
 	if d < 0 {
-		s.recordDrop(q, cause)
+		s.drop(q, cause)
 		return
 	}
-	s.tracer.Record(now, telemetry.EvRoute, q.ID, q.Family, d, -1)
+	s.sink.Route(now, &q, d)
 	s.workers[d].enqueue(q)
 }
 
-func (s *Server) recordDrop(q liveQuery, cause telemetry.Cause) {
-	now := s.now()
-	s.tc.Dropped.Inc()
-	if s.tracer != nil {
-		s.tracer.RecordCtx(now, telemetry.EvDropped, q.ID, q.Family, -1, -1,
-			s.traceCtx(q.Family, cause))
-	}
-	s.recorder.Violation(now, q.Family)
-	s.mu.Lock()
-	s.collector.Dropped(now, q.Family)
-	s.mu.Unlock()
-	s.inflight.Add(-1)
-	reply(q, Response{Outcome: OutcomeDropped, Family: s.cfg.Families[q.Family].Name,
-		LatencyMS: float64(now-q.Arrival) / float64(time.Millisecond)})
+// drop reports q dropped for cause and answers its caller.
+func (s *Server) drop(q liveQuery, cause telemetry.Cause) {
+	s.sink.Drop(s.now(), &q, cause)
+	s.dropped(q)
 }
 
-// recordCompletion answers a query whose batch finished at now on variant v.
-func (s *Server) recordCompletion(now time.Duration, q liveQuery, v models.Variant, device, batch int) {
-	latency := now - q.Arrival
+// dropped answers a query whose drop the sink has reported.
+func (s *Server) dropped(q liveQuery) {
+	s.respond(q, Response{Outcome: OutcomeDropped, Family: s.cfg.Families[q.Family].Name,
+		LatencyMS: float64(s.now()-q.Arrival) / float64(time.Millisecond)})
+}
+
+// finish reports q's completion at now on variant v and answers its caller.
+func (s *Server) finish(now time.Duration, q *liveQuery, v models.Variant, device, batch int) {
 	resp := Response{
+		Outcome:   OutcomeLate,
 		Variant:   v.ID(),
 		Accuracy:  v.Accuracy,
 		Family:    s.cfg.Families[q.Family].Name,
-		LatencyMS: float64(latency) / float64(time.Millisecond),
+		LatencyMS: float64(now-q.Arrival) / float64(time.Millisecond),
 	}
-	served := now <= q.Deadline
-	if served {
-		s.tc.Served.Inc()
-		if s.tracer != nil {
-			s.tracer.RecordCtx(now, telemetry.EvDone, q.ID, q.Family, device, batch,
-				s.traceCtx(q.Family, telemetry.CauseNone))
-		}
-	} else {
-		s.tc.Late.Inc()
-		if s.tracer != nil {
-			s.tracer.RecordCtx(now, telemetry.EvLate, q.ID, q.Family, device, batch,
-				s.traceCtx(q.Family, telemetry.CauseNone))
-		}
-		s.recorder.Violation(now, q.Family)
-	}
-	// Per-phase latency decomposition: difference the lifecycle timestamps
-	// stamped at enqueue and batch formation.
-	s.recorder.RecordPhases(q.Family, device, tsdb.PhaseDurations{
-		Admission: q.EnqueueAt - q.Arrival,
-		Queue:     q.FormAt - q.EnqueueAt,
-		BatchForm: q.ExecAt - q.FormAt,
-		Exec:      now - q.ExecAt,
-	})
-	s.mu.Lock()
-	if served {
-		s.collector.Served(now, q.Family, v.Accuracy, latency)
+	if s.sink.Finish(now, q, v.Accuracy, device, batch) {
 		resp.Outcome = OutcomeServed
-	} else {
-		s.collector.Late(now, q.Family, latency)
-		resp.Outcome = OutcomeLate
 	}
-	s.mu.Unlock()
+	s.respond(*q, resp)
+}
+
+// respond delivers q's response to its caller; q leaves the server.
+func (s *Server) respond(q liveQuery, r Response) {
 	s.inflight.Add(-1)
-	reply(q, resp)
+	q.Reply.(chan Response) <- r
 }
 
 // Summary returns the run metrics so far.
-func (s *Server) Summary() metrics.Summary {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.collector.Summarize(-1)
-}
+func (s *Server) Summary() metrics.Summary { return s.sink.Summary() }
 
 // Collector exposes the run's metrics collector for final-dump assembly
-// (report.Build). Read it only after the server stopped — the collector is
-// otherwise written under the server's lock.
-func (s *Server) Collector() *metrics.Collector { return s.collector }
+// (report.Build). Read it only after the server stopped: until then the
+// lifecycle sink writes it under the sink's own lock.
+func (s *Server) Collector() *metrics.Collector { return s.sink.Collector() }
 
 // Allocation returns the hosted variant per device of the current plan.
 func (s *Server) Allocation() map[string]string {
@@ -923,10 +783,7 @@ func (s *Server) Handler() http.Handler {
 			}
 			// The collector's log-linear latency histograms export as one
 			// native Prometheus histogram family (cumulative le buckets).
-			s.mu.Lock()
-			err := s.collector.WritePrometheusLatency(w)
-			s.mu.Unlock()
-			if err != nil {
+			if err := s.sink.WritePrometheusLatency(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 			return
@@ -983,8 +840,8 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		id, err := strconv.ParseUint(r.URL.Query().Get("id"), 10, 64)
-		if err != nil || id == 0 {
-			http.Error(w, "id parameter required (positive query id)", http.StatusBadRequest)
+		if err != nil {
+			http.Error(w, "id parameter required (a query id, counting from 0)", http.StatusBadRequest)
 			return
 		}
 		rep := attrib.Analyze(attrib.Input{

@@ -140,3 +140,53 @@ func TestHealthzDegraded(t *testing.T) {
 		t.Fatalf("health after failure: %+v", h)
 	}
 }
+
+// TestDebugQueryEndpoint pins /debug/query's status codes: the first query
+// of a run has id 0 and must be inspectable like any other, a malformed id
+// is a bad request, an id the trace never saw is not found, and without a
+// tracer the endpoint is not implemented.
+func TestDebugQueryEndpoint(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Tracer = telemetry.NewTracer(1 << 12)
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Infer("efficientnet") // query 0, finished once Infer returns
+
+	get := func(s *Server, query string) (int, string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/query"+query, nil))
+		return rec.Code, rec.Body.String()
+	}
+	code, body := get(s, "?id=0")
+	if code != http.StatusOK {
+		t.Fatalf("id=0: status %d, want 200: %s", code, body)
+	}
+	var exp struct {
+		Query   *uint64 `json:"query"`
+		Outcome string  `json:"outcome"`
+	}
+	if err := json.Unmarshal([]byte(body), &exp); err != nil || exp.Query == nil || *exp.Query != 0 || exp.Outcome == "" {
+		t.Fatalf("id=0: body %s does not explain query 0 (err %v)", body, err)
+	}
+	for _, q := range []string{"", "?id=", "?id=abc", "?id=-1"} {
+		if code, _ := get(s, q); code != http.StatusBadRequest {
+			t.Errorf("%q: status %d, want 400", q, code)
+		}
+	}
+	if code, _ := get(s, "?id=999"); code != http.StatusNotFound {
+		t.Errorf("unknown id: status %d, want 404", code)
+	}
+
+	untraced, err := NewServer(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer untraced.Close()
+	if code, _ := get(untraced, "?id=0"); code != http.StatusNotImplemented {
+		t.Errorf("no tracer: status %d, want 501", code)
+	}
+}

@@ -20,9 +20,6 @@ import (
 // chan Response the caller waits on.
 type liveQuery = device.Query
 
-// reply delivers q's response to its caller.
-func reply(q liveQuery, r Response) { q.Reply.(chan Response) <- r }
-
 // forever is the wake-up time of a wait that only an event ends.
 const forever = time.Duration(math.MaxInt64)
 
@@ -149,24 +146,17 @@ func (w *liveWorker) setHosted(ref *allocator.VariantRef, loadDelay time.Duratio
 	w.syncDepthLocked()
 	w.mu.Unlock()
 	if ref != nil {
-		w.sys.tc.ModelLoads.Inc()
+		w.sys.sink.ModelLoad()
 	}
 	w.wake()
 	return requeue
 }
 
 func (w *liveWorker) enqueue(q liveQuery) {
-	// Resolve the causal stamps (plan seq, overload episode) before taking
-	// w.mu: traceCtx reads the guard's episode id under Guard.mu, and that
-	// acquisition stays outside the worker lock.
-	var ctx telemetry.Ctx
-	if w.sys.tracer != nil {
-		ctx = w.sys.traceCtx(q.Family, telemetry.CauseNone)
-	}
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		w.sys.recordDrop(q, telemetry.CauseDraining)
+		w.sys.drop(q, telemetry.CauseDraining)
 		return
 	}
 	now := w.sys.now()
@@ -176,12 +166,10 @@ func (w *liveWorker) enqueue(q liveQuery) {
 		w.sys.redispatch(q, telemetry.CauseStaleRoute)
 		return
 	}
-	if tr := w.sys.tracer; tr != nil {
-		// The enqueue event carries the plan and overload episode in force,
-		// anchoring the attribution engine's causal joins.
-		//lint:allow lockorder established order liveWorker.mu → Tracer.mu; the tracer's ring lock is a leaf that never calls out
-		tr.RecordCtx(now, telemetry.EvEnqueue, q.ID, q.Family, w.id, -1, ctx)
-	}
+	// The enqueue event is recorded under w.mu, so it precedes the batch
+	// events the worker goroutine records after taking w.mu.
+	//lint:allow lockorder established order liveWorker.mu → Tracer.mu and liveWorker.mu → Guard.mu (the episode stamp); both are leaf locks that never call back into serving
+	w.sys.sink.Enqueue(now, &q, w.id)
 	w.syncDepthLocked() //lint:allow lockorder established order liveWorker.mu → Guard.mu (same direction as Server.mu → Guard.mu); Guard methods are leaf locks that never call back into serving
 	w.mu.Unlock()
 	w.wake()
@@ -206,7 +194,7 @@ func (w *liveWorker) recover(ref *allocator.VariantRef, loadDelay time.Duration)
 	w.dev.Recover(ref, w.sys.now(), loadDelay)
 	w.mu.Unlock()
 	if ref != nil {
-		w.sys.tc.ModelLoads.Inc()
+		w.sys.sink.ModelLoad()
 	}
 	w.wake()
 }
@@ -241,7 +229,7 @@ func (w *liveWorker) loop(wg *sync.WaitGroup) {
 			w.syncDepthLocked()
 			w.mu.Unlock()
 			for _, a := range acts {
-				w.sys.recordDrop(a.Query, a.Cause)
+				w.sys.drop(a.Query, a.Cause)
 			}
 			return
 		}
@@ -259,52 +247,33 @@ func (w *liveWorker) loop(wg *sync.WaitGroup) {
 		}
 		w.mu.Unlock()
 
-		for _, q := range done {
-			w.sys.recordCompletion(now, q, ran, w.id, batchID)
+		for i := range done {
+			w.sys.finish(now, &done[i], ran, w.id, batchID)
 		}
 		next := forever
 		if running {
 			next = until
 		}
-		tc := &w.sys.tc
+		sink := w.sys.sink
 		for i := range acts {
 			a := &acts[i]
 			switch a.Kind {
 			case device.Drop:
-				if a.Cause == telemetry.CausePolicyDrop {
-					tc.BatchDrops.Inc()
-				}
-				w.sys.recordDrop(a.Query, a.Cause)
+				w.sys.drop(a.Query, a.Cause)
 			case device.Idle:
-				tc.BatchIdles.Inc()
+				sink.Idle()
 			case device.Wait:
-				tc.BatchWaits.Inc()
+				sink.Wait()
 				next = a.At - w.sys.clk.margin()
 			case device.Load:
 				next = a.At
 			case device.Loaded:
 				w.sys.rebuildTable()
 			case device.Run:
-				tc.BatchExecutes.Inc()
-				batchID = w.start(now, a.Batch)
+				batchID = sink.Start(now, a.Batch, w.id)
 				next = a.At
 			}
 		}
 		w.sys.clk.sleep(next, w.notify, w.stopc)
 	}
-}
-
-// start records a batch the model began executing and returns its trace
-// identity.
-func (w *liveWorker) start(now time.Duration, batch []liveQuery) int {
-	batchID := int(w.sys.nextBatch.Add(1) - 1)
-	w.sys.tc.Batches.Inc()
-	w.sys.tc.BatchQueries.Add(int64(len(batch)))
-	if tr := w.sys.tracer; tr != nil {
-		for _, q := range batch {
-			tr.Record(now, telemetry.EvBatchFormed, q.ID, q.Family, w.id, batchID)
-			tr.Record(now, telemetry.EvExecStart, q.ID, q.Family, w.id, batchID)
-		}
-	}
-	return batchID
 }
