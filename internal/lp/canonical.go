@@ -206,21 +206,36 @@ func (r *revised) extract(st Status) Solution {
 	for j := 0; j < r.n; j++ {
 		obj += r.cost[j] * x[j]
 	}
-	return Solution{Status: st, Objective: obj, X: x, Iters: r.iters}
+	return Solution{Status: st, Objective: obj, X: x, Iters: r.iters, Refactors: r.refactors}
 }
 
-// basisOut snapshots the current basis in the block's coordinates. The
-// solver's inverse is handed over by reference (the solver is discarded
-// after extraction, and setBasis copies before mutating) together with the
-// matrix fingerprint it is valid for, enabling factorization-free warm
-// starts on same-matrix re-solves.
+// basisOut snapshots the current basis in the block's coordinates,
+// together with a compressed copy of the inverse (its nonzeros, row by row
+// in list order) and the matrix fingerprint it is valid for, enabling
+// factorization-free warm starts on same-matrix re-solves. The copy belongs
+// to the Basis: the solver's scratch goes back to the pool.
 func (r *revised) basisOut() *Basis {
 	b := &Basis{rowVar: make([]int32, r.m), stat: make([]uint8, r.N)}
 	copy(b.rowVar, r.basis)
 	for j := 0; j < r.N; j++ {
 		b.stat[j] = uint8(r.stat[j])
 	}
-	b.binv = r.binv
+	nnz := 0
+	for _, lst := range r.pat {
+		nnz += len(lst)
+	}
+	c := csr{ptr: make([]int32, r.m+1), idx: make([]int32, 0, nnz), val: make([]float64, 0, nnz)}
+	for i, lst := range r.pat {
+		row := r.binv[i]
+		for _, t := range lst {
+			if v := row[t]; !isZero(v) {
+				c.idx = append(c.idx, t)
+				c.val = append(c.val, v)
+			}
+		}
+		c.ptr[i+1] = int32(len(c.idx))
+	}
+	b.inv = c
 	b.updates = r.sinceFactor
 	b.matHash = r.hash
 	return b
@@ -231,6 +246,7 @@ func (r *revised) basisOut() *Basis {
 // should fall back to the dense tableau for this block.
 func solveBlock(p *Problem, o Options, warm *Basis) (Solution, bool) {
 	r := newRevised(p, o)
+	defer r.release()
 	if !r.setBasis(warm) {
 		return Solution{}, false
 	}
@@ -239,10 +255,10 @@ func solveBlock(p *Problem, o Options, warm *Basis) (Solution, bool) {
 		case numTrouble, solvedUnbounded:
 			return Solution{}, false
 		case solvedIterLimit:
-			return Solution{Status: IterLimit, Iters: r.iters}, true
+			return Solution{Status: IterLimit, Iters: r.iters, Refactors: r.refactors}, true
 		}
 		if r.stretchResidual() > feasTol {
-			return Solution{Status: Infeasible, Iters: r.iters}, true
+			return Solution{Status: Infeasible, Iters: r.iters, Refactors: r.refactors}, true
 		}
 		r.finishStretch()
 	}
@@ -250,7 +266,7 @@ func solveBlock(p *Problem, o Options, warm *Basis) (Solution, bool) {
 	case numTrouble:
 		return Solution{}, false
 	case solvedUnbounded:
-		return Solution{Status: Unbounded, Iters: r.iters}, true
+		return Solution{Status: Unbounded, Iters: r.iters, Refactors: r.refactors}, true
 	case solvedIterLimit:
 		return r.extract(IterLimit), true
 	}

@@ -13,15 +13,17 @@
 // variable fixing, dominated-column elimination, redundant-row removal,
 // singleton-column substitution, independent-block decomposition — and
 // solves each reduced block with a sparse revised simplex (CSC constraint
-// matrix, explicit basis inverse with deterministic refactorization,
-// bound-stretch composite phase 1) that accepts a warm-start Basis; a
-// postsolve pass maps the reduced solution back deterministically. The
-// original dense two-phase tableau (tableau.go) is retained both as the
-// fallback when the revised path hits numerical trouble and as an
-// independent cross-check oracle (Options.Dense). Both solvers support
-// finite lower bounds, finite or infinite upper bounds natively
-// (bounded-variable simplex, so x ≤ u never costs a row), and fall back
-// from Dantzig to Bland's rule to escape degenerate cycling.
+// matrix, a basis inverse whose every pass skips its exact zeros through
+// per-row nonzero lists, deterministic Gauss-Jordan refactorization,
+// bound-stretch composite phase 1) that accepts a warm-start Basis, whose
+// compressed copy of the inverse lets a same-matrix re-solve start without
+// factorizing; a postsolve pass maps the reduced solution back
+// deterministically. The original dense two-phase tableau (tableau.go) is
+// retained both as the fallback when the revised path hits numerical
+// trouble and as an independent cross-check oracle (Options.Dense). Both
+// solvers support finite lower bounds, finite or infinite upper bounds
+// natively (bounded-variable simplex, so x ≤ u never costs a row), and fall
+// back from Dantzig to Bland's rule to escape degenerate cycling.
 package lp
 
 import (
@@ -227,14 +229,22 @@ func (p *Problem) Constraint(i int) (terms []Term, rel Relation, rhs float64) {
 type Basis struct {
 	rowVar []int32 // column basic in row i (structural j, or logical n+i′)
 	stat   []uint8 // varStatus per column, length n+m
-	// binv, when non-nil, caches the basis inverse so a warm-started solve
-	// of a bit-identical matrix (matHash) can skip the O(m³)
-	// refactorization; updates counts product-form updates since the last
-	// true factorization, so drift control carries across solves. All three
-	// are read-only once here.
-	binv    [][]float64
+	// inv, when inv.ptr is non-nil, caches the basis inverse the solve
+	// ended with, compressed to its nonzeros (CSR, pointer-free), so a
+	// warm-started solve of a bit-identical matrix (matHash) scatters it
+	// instead of refactorizing; updates counts pivot updates since the last
+	// true factorization, so drift control carries across solves. The
+	// Basis owns all three and never changes them once published.
+	inv     csr
 	updates int
 	matHash uint64
+}
+
+// csr is a compressed-sparse-row matrix: row i's entries are idx/val
+// [ptr[i], ptr[i+1]).
+type csr struct {
+	ptr, idx []int32
+	val      []float64
 }
 
 // Shape returns the (variables, constraints) dimensions the basis was
@@ -328,6 +338,12 @@ type Solution struct {
 	Objective float64
 	X         []float64 // value per variable, valid when Status == Optimal
 	Iters     int
+	// Refactors counts the basis factorizations of the revised simplex
+	// solves that produced this solution; DenseFallback counts the blocks
+	// that hit numerical trouble and were solved by the dense tableau
+	// instead. Both, like Iters, are deterministic work counters.
+	Refactors     int
+	DenseFallback int
 	// Basis is the optimal basis in full-problem coordinates, usable to
 	// warm-start a later solve of a same-shaped problem. It is nil when the
 	// solve fell back to the dense tableau (Options.Dense or numerical

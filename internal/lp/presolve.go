@@ -577,7 +577,10 @@ func solveReduced(p *Problem, o Options) Solution {
 	}
 
 	status := Optimal
-	iters := 0
+	iters, refactors, fallbacks := 0, 0, 0
+	result := func(st Status) Solution {
+		return Solution{Status: st, Iters: iters, Refactors: refactors, DenseFallback: fallbacks}
+	}
 	blockX := make([][]float64, len(pr.blocks))
 	blockBases := make([]*Basis, len(pr.blocks))
 	for bi, blk := range pr.blocks {
@@ -592,11 +595,13 @@ func solveReduced(p *Problem, o Options) Solution {
 			t := newTableau(blk.prob, o)
 			sol = t.solve()
 			sol.Basis = nil
+			fallbacks++
 		}
 		iters += sol.Iters
+		refactors += sol.Refactors
 		switch sol.Status {
 		case Infeasible:
-			return Solution{Status: Infeasible, Iters: iters}
+			return result(Infeasible)
 		case Unbounded:
 			if status != Infeasible {
 				status = Unbounded
@@ -615,7 +620,7 @@ func solveReduced(p *Problem, o Options) Solution {
 		status = Unbounded
 	}
 	if status == Unbounded {
-		return Solution{Status: Unbounded, Iters: iters}
+		return result(Unbounded)
 	}
 
 	x := pr.postsolve(p, blockX)
@@ -623,7 +628,8 @@ func solveReduced(p *Problem, o Options) Solution {
 	for v := 0; v < pr.n; v++ {
 		obj += p.obj[v] * x[v]
 	}
-	sol := Solution{Status: status, Objective: obj, X: x, Iters: iters}
+	sol := result(status)
+	sol.Objective, sol.X = obj, x
 	if status == Optimal {
 		sol.Basis = pr.assembleBasis(blockBases)
 	}

@@ -1,11 +1,31 @@
 // Sparse revised simplex with warm starts.
 //
 // The solver keeps the constraint matrix in compressed-sparse-column form
-// and represents the basis by an explicit dense inverse that is updated
-// product-form on each pivot and rebuilt from scratch (deterministic
-// Gauss-Jordan with partial pivoting, ties broken by lowest row) every
-// refactorEvery pivots and once more at the end, so the reported solution
-// never depends on the pivot path's accumulated floating-point history.
+// and the basis inverse B⁻¹ as a dense row-major array plus, per row, a
+// list of the columns that may be nonzero (every entry outside a row's list
+// is exactly +0, and a list has no duplicates). Every pass over B⁻¹ —
+// pricing, the pivot update, the basic-value recompute and the Gauss-Jordan
+// refactorization — walks those lists, so it costs the inverse's nonzeros,
+// not m². The arithmetic is the dense algorithm's, entry by entry and in
+// the same order; only multiplications by an exact zero are skipped. The
+// inverse is updated by an elementary row operation on each pivot and
+// rebuilt from scratch (deterministic Gauss-Jordan with partial pivoting,
+// ties broken by lowest row) every refactorEvery pivots and once more at
+// the end of a canonical solve, so the reported solution never depends on
+// the pivot path's accumulated floating-point history.
+//
+// Exactness of the skipped work: the dual, FTRAN and basic-value
+// accumulators start at +0, and adding ±0 to an accumulator that started at
+// +0 never changes its bits, so dropping a term whose B⁻¹ factor is zero is
+// exact. An update row[t] -= f·prow[t] with prow[t] = ±0 leaves a nonzero
+// row[t] unchanged. The one thing the lists can change is the sign of an
+// entry that is zero either way.
+//
+// Storage: the m×m inverse, its lists and membership marks, the
+// factorization's copy of the basis matrix and computeXB's residual are
+// per-solve scratch taken from a pool (see takeScratch) and handed back
+// after extraction in O(nonzeros), by zeroing only the listed entries. A
+// published Basis carries its own compressed (CSR) copy of the inverse.
 //
 // Feasibility is restored by a bound-stretch composite phase 1: the bounds
 // of out-of-range basic variables are temporarily stretched to their
@@ -18,10 +38,14 @@
 // basic column index among near-ties), factorization pivots — is index-
 // deterministic, and the final answer is canonicalized (see canonicalize)
 // so that warm and cold solves of the same problem return byte-identical
-// solutions. No maps, no wall clock, no randomness.
+// solutions. No maps, no wall clock, no randomness; the pooled scratch is
+// all zero whenever it is taken, so its history cannot reach a result.
 package lp
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 const (
 	refactorEvery = 128   // pivots between basis refactorizations
@@ -129,12 +153,20 @@ type revised struct {
 	basis []int32     // column basic in row i
 	inRow []int32     // row a column is basic in, or -1
 	stat  []varStatus // per column
-	binv  [][]float64 // m x m explicit basis inverse
 	xB    []float64   // value of basis[i]
+
+	// Pooled scratch (see scratch): binv is the m×m basis inverse, pat[i]
+	// the columns of row i that may be nonzero and on[i] their membership
+	// marks.
+	sc   *scratch
+	binv [][]float64
+	pat  [][]int32
+	on   [][]bool
 
 	y, z, w []float64 // scratch: duals, reduced costs, FTRAN column
 
 	iters       int
+	refactors   int
 	sinceFactor int
 
 	// Phase-1 bound-stretch bookkeeping.
@@ -148,10 +180,12 @@ func newRevised(p *Problem, o Options) *revised {
 	n, m := len(p.names), len(p.rows)
 	mc := p.matrix()
 	r := &revised{opts: o, n: n, m: m, N: n + m, mat: mc.mat, hash: mc.hash}
-	// One backing array for the float state (7 N-sized + 4 m-sized vectors)
-	// and one for binv: the solver is created per solve, so allocation count
-	// dominates small warm re-solves.
-	buf := make([]float64, 7*r.N+4*m)
+	// All working state comes from pooled scratch, zeroed: the solver is
+	// created per solve, and a branch-and-bound search runs thousands. One
+	// backing array holds the float vectors (7 N-sized + 4 m-sized).
+	r.sc = takeScratch(m)
+	r.binv, r.pat, r.on = r.sc.binv, r.sc.pat, r.sc.on
+	buf := zeroed(&r.sc.vec, 7*r.N+4*m)
 	cut := func(k int) (s []float64) { s, buf = buf[:k:k], buf[k:]; return }
 	r.lo, r.hi, r.cost = cut(r.N), cut(r.N), cut(r.N)
 	r.trueLo, r.trueHi, r.p1cost, r.z = cut(r.N), cut(r.N), cut(r.N), cut(r.N)
@@ -171,16 +205,160 @@ func newRevised(p *Problem, o Options) *revised {
 			r.lo[n+i], r.hi[n+i] = 0, 0
 		}
 	}
-	r.basis = make([]int32, m)
-	r.inRow = make([]int32, r.N)
-	r.stat = make([]varStatus, r.N)
-	bbuf := make([]float64, m*m)
-	r.binv = make([][]float64, m)
-	for i := range r.binv {
-		r.binv[i] = bbuf[i*m : (i+1)*m : (i+1)*m]
-	}
-	r.stretched = make([]bool, r.N)
+	ints := zeroed(&r.sc.ints, m+r.N)
+	r.basis, r.inRow = ints[:m:m], ints[m:]
+	r.stat = zeroed(&r.sc.stat, r.N)
+	r.stretched = zeroed(&r.sc.stretched, r.N)
 	return r
+}
+
+// zeroed returns the first k elements of *b cleared, growing *b first when
+// it is shorter.
+func zeroed[T any](b *[]T, k int) []T {
+	if cap(*b) < k {
+		*b = make([]T, k)
+	}
+	*b = (*b)[:k]
+	clear(*b)
+	return *b
+}
+
+// scratch is the working storage of one solve. Between solves it sits in
+// scratchPool. The m²-sized part rests all zero — every entry of binv and
+// bm is zero (binv's +0), every mark is false and every list is empty — so
+// a taker pays only for the entries it touches; the vectors are cleared as
+// they are taken. Either way a result cannot depend on which solve used the
+// scratch before.
+type scratch struct {
+	size int // capacity, in rows, of the backing arrays
+
+	invBuf []float64 // size² backing of binv
+	bmBuf  []float64 // size² backing of bm
+	patBuf []int32   // size² backing of pat
+	onBuf  []bool    // size² backing of on
+
+	// Row views for the current taker's m, row stride m. factorize swaps
+	// rows by swapping these headers, never the backing.
+	binv [][]float64
+	bm   [][]float64 // factorize's copy of the basis matrix
+	pat  [][]int32
+	on   [][]bool
+
+	nz  []int32   // factorize: nonzero columns of the pivot row of bm
+	res []float64 // computeXB: right-hand side net of nonbasic columns
+
+	// Backing for the solver's vectors, cleared by newRevised.
+	vec       []float64
+	ints      []int32
+	stat      []varStatus
+	stretched []bool
+}
+
+// scratchPool recycles scratch across solves, including concurrent
+// branch-and-bound workers; a scratch belongs to one solve at a time.
+var scratchPool sync.Pool
+
+// takeScratch returns a resting scratch with row views for an m-row block,
+// reusing a pooled one when it is large enough.
+func takeScratch(m int) *scratch {
+	s, _ := scratchPool.Get().(*scratch)
+	if s == nil || s.size < m {
+		s = &scratch{
+			size:   m,
+			invBuf: make([]float64, m*m),
+			bmBuf:  make([]float64, m*m),
+			patBuf: make([]int32, m*m),
+			onBuf:  make([]bool, m*m),
+			binv:   make([][]float64, m),
+			bm:     make([][]float64, m),
+			pat:    make([][]int32, m),
+			on:     make([][]bool, m),
+			nz:     make([]int32, 0, m),
+			res:    make([]float64, m),
+		}
+	}
+	s.binv, s.bm, s.pat, s.on = s.binv[:m], s.bm[:m], s.pat[:m], s.on[:m]
+	for i := 0; i < m; i++ {
+		lo, hi := i*m, (i+1)*m
+		s.binv[i] = s.invBuf[lo:hi:hi]
+		s.bm[i] = s.bmBuf[lo:hi:hi]
+		s.pat[i] = s.patBuf[lo:lo:hi]
+		s.on[i] = s.onBuf[lo:hi:hi]
+	}
+	s.res = s.res[:m]
+	return s
+}
+
+// release returns the solver's scratch to the pool in its resting state,
+// zeroing only the listed inverse entries (bm is left zero by factorize).
+// The solver must not be used afterwards.
+func (r *revised) release() {
+	r.clearInverse()
+	scratchPool.Put(r.sc)
+	r.sc, r.binv, r.pat, r.on = nil, nil, nil, nil
+}
+
+// clearInverse zeroes every listed entry of binv, clears their marks and
+// empties the lists: binv becomes the all-+0 matrix.
+func (r *revised) clearInverse() {
+	for i, lst := range r.pat {
+		row, on := r.binv[i], r.on[i]
+		for _, t := range lst {
+			row[t] = 0
+			on[t] = false
+		}
+		r.pat[i] = lst[:0]
+	}
+}
+
+// sortList sorts a row list in place by insertion. factorize leaves lists
+// sorted and pivots append their fill-in at the end, so a list is a sorted
+// run plus a short tail, for which insertion is linear.
+func sortList(lst []int32) {
+	for a := 1; a < len(lst); a++ {
+		v := lst[a]
+		b := a
+		for ; b > 0 && lst[b-1] > v; b-- {
+			lst[b] = lst[b-1]
+		}
+		lst[b] = v
+	}
+}
+
+// scaleRow multiplies row k of binv by s over its list and drops entries
+// that are zero from the list (storing +0), so later eliminations skip
+// them. It returns the compacted list.
+func (r *revised) scaleRow(k int, s float64) []int32 {
+	row, on, lst := r.binv[k], r.on[k], r.pat[k]
+	n := 0
+	for _, t := range lst {
+		v := row[t] * s
+		if isZero(v) {
+			row[t] = 0
+			on[t] = false
+			continue
+		}
+		row[t] = v
+		lst[n] = t
+		n++
+	}
+	r.pat[k] = lst[:n]
+	return lst[:n]
+}
+
+// eliminate subtracts f times row k of binv from row i over row k's list,
+// listing any fill-in in row i.
+func (r *revised) eliminate(i int, f float64, k int) {
+	row, prow := r.binv[i], r.binv[k]
+	on, lst := r.on[i], r.pat[i]
+	for _, t := range r.pat[k] {
+		row[t] -= f * prow[t]
+		if !on[t] {
+			on[t] = true
+			lst = append(lst, t)
+		}
+	}
+	r.pat[i] = lst
 }
 
 // restingStatus returns a valid nonbasic resting bound for column j given a
@@ -225,14 +403,13 @@ func (r *revised) setBasis(warm *Basis) bool {
 						r.stat[j] = r.restingStatus(j, varStatus(warm.stat[j]))
 					}
 				}
-				if warm.binv != nil && warm.matHash == r.hash && warm.updates < refactorEvery {
+				if warm.inv.ptr != nil && warm.matHash == r.hash && warm.updates < refactorEvery {
 					// The warm basis carries the inverse it was solved with and
-					// the matrix is bit-identical: copy it instead of paying the
-					// O(m³) refactorization. The update counter carries over so
-					// drift control spans solves.
-					for i := 0; i < r.m; i++ {
-						copy(r.binv[i], warm.binv[i])
-					}
+					// the matrix is bit-identical: scatter its nonzeros into the
+					// all-zero scratch instead of paying for a refactorization.
+					// The update counter carries over so drift control spans
+					// solves.
+					r.scatterInverse(&warm.inv)
 					for j := range r.inRow {
 						r.inRow[j] = -1
 					}
@@ -265,15 +442,31 @@ func (r *revised) setBasis(warm *Basis) bool {
 	return true
 }
 
-// factorize rebuilds binv from the current basis by Gauss-Jordan with
-// partial pivoting (largest magnitude, ties broken by lowest row). It also
-// refreshes inRow. Returns false when the basis matrix is singular.
-func (r *revised) factorize() bool {
-	m := r.m
-	bm := make([][]float64, m) // basis matrix, column i = A_{basis[i]}
-	for i := range bm {
-		bm[i] = make([]float64, m)
+// scatterInverse loads a cached inverse into the all-zero binv, listing
+// each row's stored entries.
+func (r *revised) scatterInverse(c *csr) {
+	for i := 0; i < r.m; i++ {
+		row, on := r.binv[i], r.on[i]
+		lst := r.pat[i]
+		for e := c.ptr[i]; e < c.ptr[i+1]; e++ {
+			t := c.idx[e]
+			row[t] = c.val[e]
+			on[t] = true
+			lst = append(lst, t)
+		}
+		r.pat[i] = lst
 	}
+}
+
+// factorize rebuilds binv from the current basis by Gauss-Jordan with
+// partial pivoting (largest magnitude, ties broken by lowest row). Each
+// step gathers the nonzero columns of the pivot row once and updates only
+// those, in bm and through the row lists in binv. It also refreshes inRow.
+// Returns false when the basis matrix is singular.
+func (r *revised) factorize() bool {
+	r.refactors++
+	m := r.m
+	bm := r.sc.bm // all zero here; column i becomes A_{basis[i]}
 	for k := 0; k < m; k++ {
 		j := int(r.basis[k])
 		if j < r.n {
@@ -284,11 +477,11 @@ func (r *revised) factorize() bool {
 			bm[j-r.n][k] = 1
 		}
 	}
+	r.clearInverse()
 	for i := 0; i < m; i++ {
-		for k := 0; k < m; k++ {
-			r.binv[i][k] = 0
-		}
 		r.binv[i][i] = 1
+		r.on[i][i] = true
+		r.pat[i] = append(r.pat[i], int32(i))
 	}
 	for k := 0; k < m; k++ {
 		p, best := -1, pivotTol
@@ -298,31 +491,59 @@ func (r *revised) factorize() bool {
 			}
 		}
 		if p < 0 {
+			for _, row := range bm {
+				clear(row)
+			}
 			return false
 		}
 		if p != k {
 			bm[p], bm[k] = bm[k], bm[p]
 			r.binv[p], r.binv[k] = r.binv[k], r.binv[p]
+			r.pat[p], r.pat[k] = r.pat[k], r.pat[p]
+			r.on[p], r.on[k] = r.on[k], r.on[p]
 		}
-		inv := 1 / bm[k][k]
-		for t := 0; t < m; t++ {
-			bm[k][t] *= inv
-			r.binv[k][t] *= inv
+		// Columns before k of the pivot row were eliminated at their own
+		// steps, so its nonzeros all lie at k or beyond.
+		prow := bm[k]
+		nz := r.sc.nz[:0]
+		for t := k; t < m; t++ {
+			if !isZero(prow[t]) {
+				nz = append(nz, int32(t))
+			}
 		}
+		inv := 1 / prow[k]
+		for _, t := range nz {
+			prow[t] *= inv
+		}
+		r.scaleRow(k, inv)
 		for i := 0; i < m; i++ {
 			if i == k {
 				continue
 			}
-			f := bm[i][k]
+			row := bm[i]
+			f := row[k]
 			if isZero(f) {
 				continue
 			}
-			for t := 0; t < m; t++ {
-				bm[i][t] -= f * bm[k][t]
-				r.binv[i][t] -= f * r.binv[k][t]
+			for _, t := range nz {
+				row[t] -= f * prow[t]
 			}
-			bm[i][k] = 0
+			r.eliminate(i, f, k)
+			row[k] = 0
 		}
+	}
+	// Elimination leaves bm diagonal; zero the diagonal to return it to
+	// its resting state. Fill-in was listed in elimination order: rebuild
+	// the lists from the marks so they come out sorted.
+	for i := 0; i < m; i++ {
+		bm[i][i] = 0
+		lst := r.pat[i][:0]
+		for t, in := range r.on[i] {
+			if in {
+				lst = append(lst, int32(t))
+			}
+		}
+		r.pat[i] = lst
 	}
 	for j := range r.inRow {
 		r.inRow[j] = -1
@@ -351,9 +572,11 @@ func (r *revised) value(j int) float64 {
 }
 
 // computeXB recomputes the basic values from scratch: xB = binv·(rhs − N·x_N)
-// with nonbasic contributions accumulated in ascending column order.
+// with nonbasic contributions accumulated in ascending column order. Each
+// row's product runs over its list, sorted first so the terms are summed in
+// ascending column order like the dense dot product.
 func (r *revised) computeXB() {
-	res := make([]float64, r.m)
+	res := r.sc.res
 	copy(res, r.rhs)
 	for j := 0; j < r.n; j++ {
 		if r.stat[j] == basic {
@@ -376,7 +599,8 @@ func (r *revised) computeXB() {
 	for i := 0; i < r.m; i++ {
 		s := 0.0
 		row := r.binv[i]
-		for k := 0; k < r.m; k++ {
+		sortList(r.pat[i])
+		for _, k := range r.pat[i] {
 			s += row[k] * res[k]
 		}
 		r.xB[i] = s
@@ -384,30 +608,32 @@ func (r *revised) computeXB() {
 }
 
 // price computes duals y = c_B·binv and reduced costs z_j = c_j − y·A_j for
-// every column under objective c.
+// every column under objective c. Each dual y_t gathers its terms in
+// ascending row order; rows with c_B = 0 and unlisted (zero) entries are
+// skipped.
 func (r *revised) price(c []float64) {
-	for i := 0; i < r.m; i++ {
-		r.y[i] = 0
-	}
-	for k := 0; k < r.m; k++ {
-		cb := c[r.basis[k]]
+	y := r.y
+	clear(y)
+	for k, bk := range r.basis {
+		cb := c[bk]
 		if isZero(cb) {
 			continue
 		}
 		row := r.binv[k]
-		for i := 0; i < r.m; i++ {
-			r.y[i] += cb * row[i]
+		for _, t := range r.pat[k] {
+			y[t] += cb * row[t]
 		}
 	}
+	colPtr, rowIdx, val := r.mat.colPtr, r.mat.rowIdx, r.mat.val
 	for j := 0; j < r.n; j++ {
 		s := c[j]
-		for t := r.mat.colPtr[j]; t < r.mat.colPtr[j+1]; t++ {
-			s -= r.y[r.mat.rowIdx[t]] * r.mat.val[t]
+		for t := colPtr[j]; t < colPtr[j+1]; t++ {
+			s -= y[rowIdx[t]] * val[t]
 		}
 		r.z[j] = s
 	}
 	for i := 0; i < r.m; i++ {
-		r.z[r.n+i] = c[r.n+i] - r.y[i]
+		r.z[r.n+i] = c[r.n+i] - y[i]
 	}
 }
 
@@ -416,15 +642,16 @@ func (r *revised) price(c []float64) {
 // lowest index among equal scores; Bland takes the first improving index.
 func (r *revised) chooseEntering(tol float64, bland bool) (int, float64) {
 	bestJ, bestScore, bestDir := -1, tol, 0.0
-	for j := 0; j < r.N; j++ {
-		if r.stat[j] == basic || r.hi[j]-r.lo[j] < tol {
+	lo, hi, z := r.lo[:r.N], r.hi[:r.N], r.z[:r.N]
+	for j, st := range r.stat[:r.N] {
+		if st == basic || hi[j]-lo[j] < tol {
 			continue
 		}
 		var score, dir float64
-		if r.stat[j] == atLower {
-			score, dir = r.z[j], 1
+		if st == atLower {
+			score, dir = z[j], 1
 		} else {
-			score, dir = -r.z[j], -1
+			score, dir = -z[j], -1
 		}
 		if score > tol {
 			if bland {
@@ -438,23 +665,24 @@ func (r *revised) chooseEntering(tol float64, bland bool) (int, float64) {
 	return bestJ, bestDir
 }
 
-// ftran computes w = binv·A_j, the entering column in the current basis.
+// ftran computes w = binv·A_j, the entering column in the current basis. It
+// reads columns of binv, which the row lists do not index, so it stays
+// dense: O(m) per nonzero of A_j.
 func (r *revised) ftran(j int) {
-	for i := 0; i < r.m; i++ {
-		r.w[i] = 0
-	}
+	w := r.w
+	clear(w)
 	if j < r.n {
 		for t := r.mat.colPtr[j]; t < r.mat.colPtr[j+1]; t++ {
 			a := r.mat.val[t]
 			k := int(r.mat.rowIdx[t])
-			for i := 0; i < r.m; i++ {
-				r.w[i] += r.binv[i][k] * a
+			for i, row := range r.binv {
+				w[i] += row[k] * a
 			}
 		}
 	} else {
 		k := j - r.n
-		for i := 0; i < r.m; i++ {
-			r.w[i] = r.binv[i][k]
+		for i, row := range r.binv {
+			w[i] = row[k]
 		}
 	}
 }
@@ -523,7 +751,9 @@ func (r *revised) applyStep(j int, dir, tMax float64) {
 }
 
 // pivot replaces the basic column of leaveRow with j (entering at enterVal)
-// and updates binv product-form.
+// and updates binv by the elementary row operation of the pivot: scale the
+// pivot row by 1/w[leaveRow], then eliminate w from every other row, both
+// over the pivot row's list.
 func (r *revised) pivot(leaveRow, j int, enterVal float64, leaveAtUpper bool) {
 	leaving := r.basis[leaveRow]
 	if leaveAtUpper {
@@ -532,12 +762,7 @@ func (r *revised) pivot(leaveRow, j int, enterVal float64, leaveAtUpper bool) {
 		r.stat[leaving] = atLower
 	}
 	r.inRow[leaving] = -1
-	piv := r.w[leaveRow]
-	inv := 1 / piv
-	prow := r.binv[leaveRow]
-	for t := 0; t < r.m; t++ {
-		prow[t] *= inv
-	}
+	r.scaleRow(leaveRow, 1/r.w[leaveRow])
 	for i := 0; i < r.m; i++ {
 		if i == leaveRow {
 			continue
@@ -546,10 +771,7 @@ func (r *revised) pivot(leaveRow, j int, enterVal float64, leaveAtUpper bool) {
 		if isZero(f) {
 			continue
 		}
-		row := r.binv[i]
-		for t := 0; t < r.m; t++ {
-			row[t] -= f * prow[t]
-		}
+		r.eliminate(i, f, leaveRow)
 	}
 	r.basis[leaveRow] = int32(j)
 	r.stat[j] = basic
@@ -610,6 +832,9 @@ func (r *revised) iterate(c []float64, phase1 bool) solveStatus {
 					r.stat[j] = atUpper
 				}
 				r.unstretchIfHome(j)
+				if r.nStretched > 0 {
+					r.restoreScan()
+				}
 				if capStep < tol {
 					stall++
 				} else {

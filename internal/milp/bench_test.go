@@ -10,10 +10,15 @@ import (
 // shape — allocation MILPs growing in devices d and variants q — at
 // parallelism 1, 2, 4 and the machine width, plus the fleet-scale d200q30
 // shape (200 devices across 30 routing-decoupled families) that exercises
-// the component decomposition. The solve result is identical at every
-// parallelism level (see TestParallelismByteIdentical and
-// TestFleetByteIdentical); only wall-clock time may differ. CI archives
-// these numbers as BENCH_milp.json via proteus-benchjson.
+// the component decomposition, and d12q16, whose 212 rows stay one coupled
+// block after presolve (close to the simulator's allocation LPs), so it
+// exercises the simplex kernel at size. The solve result is identical at
+// every parallelism level (see TestParallelismByteIdentical and
+// TestFleetByteIdentical); only wall-clock time may differ. Besides ns/op,
+// B/op and allocs/op it reports the deterministic work counters pivots/op
+// and refactors/op (Solution.LPIters and Solution.Refactors), which change
+// only when the search or the pivot path does. CI archives these numbers
+// as BENCH_milp.json via proteus-benchjson.
 func BenchmarkSolveFig10(b *testing.B) {
 	shapes := []struct {
 		name  string
@@ -23,6 +28,7 @@ func BenchmarkSolveFig10(b *testing.B) {
 		{"d3q10", func() *Problem { return buildAllocInstance(42, 3, 10) }},
 		{"d4q14", func() *Problem { return buildAllocInstance(42, 4, 14) }},
 		{"d200q30", func() *Problem { return buildFleetInstance(42, 200, 30, 5) }},
+		{"d12q16", func() *Problem { return buildAllocInstance(42, 12, 16) }},
 	}
 	levels := []int{1, 2, 4}
 	if w := runtime.GOMAXPROCS(0); w != 1 && w != 2 && w != 4 {
@@ -32,13 +38,17 @@ func BenchmarkSolveFig10(b *testing.B) {
 		for _, par := range levels {
 			b.Run(fmt.Sprintf("%s/par%d", sh.name, par), func(b *testing.B) {
 				p := sh.build()
+				b.ReportAllocs()
 				b.ResetTimer()
+				var sol Solution
 				for i := 0; i < b.N; i++ {
-					sol := Solve(p, &Options{MaxNodes: 20_000, Parallelism: par})
+					sol = Solve(p, &Options{MaxNodes: 20_000, Parallelism: par})
 					if sol.Status != Optimal && sol.Status != Feasible {
 						b.Fatalf("status %v", sol.Status)
 					}
 				}
+				b.ReportMetric(float64(sol.LPIters), "pivots/op")
+				b.ReportMetric(float64(sol.Refactors), "refactors/op")
 			})
 		}
 	}

@@ -196,6 +196,9 @@ func solveDecomposed(p *Problem, o Options, comps []component) Solution {
 	for i, c := range comps {
 		res := results[i]
 		out.Nodes += res.Nodes
+		out.LPIters += res.LPIters
+		out.Refactors += res.Refactors
+		out.DenseFallbacks += res.DenseFallbacks
 		out.TimeLimited = out.TimeLimited || res.TimeLimited
 		switch res.Status {
 		case Infeasible, Unbounded:

@@ -114,7 +114,15 @@ type Solution struct {
 	X         []float64 // incumbent point, integral entries exactly integral
 	Bound     float64   // best proven upper bound on the optimum
 	Nodes     int       // branch-and-bound nodes processed
-	Elapsed   time.Duration
+	// LPIters, Refactors and DenseFallbacks sum the simplex pivots, basis
+	// factorizations and dense-tableau fallbacks (lp.Solution's Iters,
+	// Refactors and DenseFallback) of the LP relaxations the search
+	// consumed. Relaxations solved speculatively and never consumed do not
+	// count, so like Nodes the sums are the same at every Parallelism.
+	LPIters        int
+	Refactors      int
+	DenseFallbacks int
+	Elapsed        time.Duration
 	// TimeLimited reports that the wall-clock TimeLimit fired during the
 	// search. Bound/Nodes (and the gap derived from them) then depend on
 	// how far the optimality proof got before the clock ran out, so
@@ -299,6 +307,9 @@ type solver struct {
 	incumbentObj float64
 	nodes        int
 	bestBound    float64
+	// lpIters, refactors and fallbacks sum the consumed relaxations' work
+	// counters (see Solution.LPIters).
+	lpIters, refactors, fallbacks int
 	// limited records that some subtree was abandoned because of a node,
 	// time or LP-iteration limit; exhausting the heap then proves nothing.
 	limited bool
@@ -357,10 +368,17 @@ func (s *solver) solveNode(nd *node) (lp.Solution, error) {
 // and enqueues likely future nodes — the hints plus the best open nodes —
 // for the workers. Without a pool it is exactly the serial solveNode.
 func (s *solver) relax(nd *node, hints ...*node) (lp.Solution, error) {
+	var rel lp.Solution
+	var err error
 	if s.pool == nil {
-		return s.solveNode(nd)
+		rel, err = s.solveNode(nd)
+	} else {
+		rel, err = s.pool.solve(nd, hints)
 	}
-	return s.pool.solve(nd, hints)
+	s.lpIters += rel.Iters
+	s.refactors += rel.Refactors
+	s.fallbacks += rel.DenseFallback
+	return rel, err
 }
 
 // nodeBounds returns the effective bound interval of variable v at node nd:
@@ -427,12 +445,15 @@ func (s *solver) accept(x []float64) {
 
 func (s *solver) finish(st Status) Solution {
 	sol := Solution{
-		Status:      st,
-		Bound:       s.bestBound,
-		Nodes:       s.nodes,
-		Elapsed:     sinceStart(s.start),
-		TimeLimited: s.timeLimited,
-		Basis:       s.rootBasis,
+		Status:         st,
+		Bound:          s.bestBound,
+		Nodes:          s.nodes,
+		LPIters:        s.lpIters,
+		Refactors:      s.refactors,
+		DenseFallbacks: s.fallbacks,
+		Elapsed:        sinceStart(s.start),
+		TimeLimited:    s.timeLimited,
+		Basis:          s.rootBasis,
 	}
 	if s.incumbent != nil {
 		sol.Objective = s.incumbentObj
